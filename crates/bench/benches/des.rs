@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use faaspipe_des::events::{EventQueue, Wake};
-use faaspipe_des::flow::{FlowNet, FlowSpec};
+use faaspipe_des::flow::{FlowNet, FlowSpec, LinkId};
 use faaspipe_des::{Bandwidth, ByteSize, Sim, SimDuration, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -69,26 +69,28 @@ fn bench_flow_recompute(c: &mut Criterion) {
     });
 }
 
-/// Sustained churn at high concurrency: `n` NIC-limited flows over one
-/// shared backbone, then a scheduler-style drain loop (advance to the
-/// next completion, tick, repeat) that retires every flow. Each start
-/// and each tick triggers a rate recompute with ~n flows active, so
-/// this is the stress case the incremental flow network must keep
-/// proportional to *what changed* — before the rewrite its cost grew
-/// with the full active set per event.
-fn flow_stress(n: u32) {
-    let mut net = FlowNet::new();
-    let backbone = net.add_link(Bandwidth::mib_per_sec(10_000.0));
+/// Starts `n` flows at once, each over the links `links_for` picks or
+/// adds, then runs a scheduler-style drain loop (advance to the next
+/// completion, tick, repeat) that retires every flow. Each start and
+/// each tick triggers a rate recompute over every active flow, so the
+/// whole case costs O(n²) flow freezes; what the flow network keeps
+/// small is the constant per freeze (no dense scan over slots or links,
+/// and heap traffic only when a link's lower-bound key goes stale).
+fn start_then_drain(
+    mut net: FlowNet,
+    n: u32,
+    mut links_for: impl FnMut(&mut FlowNet, u32) -> Vec<LinkId>,
+) {
     let mut now = SimTime::ZERO;
     for i in 0..n {
-        let nic = net.add_link(Bandwidth::mib_per_sec(100.0));
+        let links = links_for(&mut net, i);
         // Staggered sizes so completions spread out instead of
         // coalescing into one tick.
         net.start(
             now,
             FlowSpec {
                 bytes: ByteSize::kib(64 + (i as u64 % 97) * 16),
-                links: vec![nic, backbone],
+                links,
             },
             i,
         );
@@ -101,6 +103,37 @@ fn flow_stress(n: u32) {
     assert_eq!(net.active_flows(), 0);
 }
 
+/// Sustained churn at high concurrency: `n` flows, each over its own
+/// 100 MiB/s NIC and one shared 10 000 MiB/s backbone.
+fn flow_stress(n: u32) {
+    let mut net = FlowNet::new();
+    let backbone = net.add_link(Bandwidth::mib_per_sec(10_000.0));
+    start_then_drain(net, n, |net, _| {
+        vec![net.add_link(Bandwidth::mib_per_sec(100.0)), backbone]
+    });
+}
+
+/// Function NICs per store-shaped stress case are shared by this many
+/// concurrent flows (a worker's parallel I/O window).
+const STORE_FLOWS_PER_NIC: u32 = 4;
+
+/// The same churn on the topology `StoreClient` builds: every flow
+/// crosses its own per-connection link, the store's shared backbone, and
+/// a function NIC shared by [`STORE_FLOWS_PER_NIC`] flows. The backbone
+/// binds while more than ~500 flows are active and the NICs bind after
+/// that, so the drain crosses both regimes.
+fn flow_stress_store(n: u32) {
+    let mut net = FlowNet::new();
+    let backbone = net.add_link(Bandwidth::mib_per_sec(10_000.0));
+    let mut nic = backbone;
+    start_then_drain(net, n, |net, i| {
+        if i % STORE_FLOWS_PER_NIC == 0 {
+            nic = net.add_link(Bandwidth::mib_per_sec(80.0));
+        }
+        vec![net.add_link(Bandwidth::mib_per_sec(95.0)), backbone, nic]
+    });
+}
+
 fn bench_flow_stress(c: &mut Criterion) {
     let mut g = c.benchmark_group("flow_stress");
     g.sample_size(10);
@@ -108,6 +141,8 @@ fn bench_flow_stress(c: &mut Criterion) {
         g.throughput(Throughput::Elements(n as u64));
         let name = format!("start_drain_{}_concurrent", n);
         g.bench_function(&name, |b| b.iter(|| flow_stress(black_box(n))));
+        let name = format!("store_drain_{}_concurrent", n);
+        g.bench_function(&name, |b| b.iter(|| flow_stress_store(black_box(n))));
     }
     g.finish();
 }

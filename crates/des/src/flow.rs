@@ -15,29 +15,48 @@
 //!
 //! # Scaling discipline
 //!
-//! Every flow start/finish triggers a rate recompute, so with `A` active
-//! flows and `T` links carrying them the per-event budget must be
-//! `O(A·ℓ + T)` (ℓ = links per flow, a small constant), never
-//! `O(A·rounds)` or `O(slots·links)`:
+//! Every flow start/finish triggers a rate recompute, and every recompute
+//! re-freezes *all* `A` active flows, so its cost is `O(A·ℓ + T)` for ℓ
+//! links per flow (a small constant; store flows cross three) and `T`
+//! links carrying traffic. What matters is the constant per freeze, and
+//! that nothing scans every slot or link ever allocated:
 //!
 //! * per-link **membership lists** (`members`) let each progressive-filling
 //!   round freeze exactly the flows crossing the bottleneck instead of
 //!   re-scanning every unfrozen flow;
-//! * the bottleneck itself comes from a lazily-revalidated **min-heap** of
-//!   `(fair share, link id)` keys instead of a scan over every touched
-//!   link per round;
+//! * the bottleneck itself comes from a **min-heap** of `(fair share,
+//!   link id)` keys holding one *lower-bound* key per link (below), not
+//!   from a scan over every touched link per round;
 //! * per-flow **completion deadlines** are folded into `recompute` the
 //!   moment a rate freezes, so the scheduler's `next_completion` query is
 //!   O(1) instead of a scan over all flows after every start/finish;
 //! * `settle`, `tick` and `link_rate` walk the active-flow / member lists,
 //!   not every slot ever allocated.
 //!
-//! All of it is bit-identity-preserving: the heap key orders exactly like
-//! the dense scan's `(share, ascending link id)` tie-break, freezing walks
-//! members in ascending slot order (the dense scan's flow order), and the
-//! accepted share is re-derived from the *current* `residual/count` at pop
-//! time, so every floating-point operation happens on the same operands in
-//! the same order as the reference implementation.
+//! # Lower-bound heap keys
+//!
+//! `key_of[l]` is the share of link `l`'s newest heap key. The invariant:
+//! every live link (count > 0, finite capacity) has a key in the heap,
+//! and `key_of[l]` is no greater than its current `residual/count`.
+//!
+//! * A freeze at the minimum share cannot lower another link's share in
+//!   exact arithmetic (`r/c ≥ s` implies `(r − s)/(c − 1) ≥ r/c`). So a
+//!   decrement pushes a key only when rounding takes the new share below
+//!   `key_of[l]`. When one backbone binds every flow, one pop freezes all.
+//! * A popped key whose link has drained (count 0) is discarded. A key
+//!   equal to the live share selects its link as the bottleneck. The
+//!   link's newest key with the share since risen is re-pushed at the
+//!   live share. Any other key is superseded and discarded.
+//!
+//! The bottleneck sequence is the dense scan's: when a popped key equals
+//! its link's share, every other live link has a key ordered after it and
+//! a share no smaller than that key, so the popped link is the argmin of
+//! `(share, link id)` — the scan's ascending-id tie-break. Freezing walks
+//! members in ascending slot order (the scan's flow order), and the
+//! accepted share is the live `residual/count`, so `residual`, `counts`
+//! and the completion deadlines see the same floating-point operations on
+//! the same operands in the same order, and rates are bit-identical. A
+//! dense reference in the tests checks this after every start and tick.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -139,13 +158,17 @@ pub struct FlowNet {
 }
 
 /// Scratch reused across calls so the hot path does no per-event
-/// allocation. `counts` and `residual` are link-indexed and only the
-/// entries named by `touched` are ever initialised or read before being
-/// written; `frozen_at` is slot-indexed and compared against `epoch`.
+/// allocation. `counts`, `residual` and `key_of` are link-indexed and
+/// only the entries named by `touched` are ever initialised or read
+/// before being written; `frozen_at` is slot-indexed and compared
+/// against `epoch`.
 #[derive(Debug, Default)]
 struct RecomputeScratch {
     counts: Vec<u32>,
     residual: Vec<f64>,
+    /// Per live finite link, the share of its newest heap key: a lower
+    /// bound on the link's current `residual/count`.
+    key_of: Vec<f64>,
     heap: BinaryHeap<Reverse<ShareKey>>,
     frozen_at: Vec<u64>,
     epoch: u64,
@@ -237,14 +260,20 @@ impl FlowNet {
         let slot = i as u32;
         let pos = self.active.partition_point(|&a| a < slot);
         self.active.insert(pos, slot);
-        for l in self.flows[i].as_ref().expect("just inserted").links.clone() {
+        let FlowNet {
+            flows,
+            members,
+            touched,
+            ..
+        } = self;
+        for l in &flows[i].as_ref().expect("just inserted").links {
             let li = l.0 as usize;
-            if self.members[li].is_empty() {
-                let tpos = self.touched.partition_point(|&t| t < l.0);
-                self.touched.insert(tpos, l.0);
+            if members[li].is_empty() {
+                let tpos = touched.partition_point(|&t| t < l.0);
+                touched.insert(tpos, l.0);
             }
-            let mpos = self.members[li].partition_point(|&m| m < slot);
-            self.members[li].insert(mpos, slot);
+            let mpos = members[li].partition_point(|&m| m < slot);
+            members[li].insert(mpos, slot);
         }
         self.recompute();
         FlowKey(i)
@@ -276,16 +305,17 @@ impl FlowNet {
             woken.push(f.waker);
             for l in &f.links {
                 let li = l.0 as usize;
+                // Both lists are sorted. A flow listing a link twice has
+                // two equal adjacent entries; removing either one leaves
+                // the same list.
                 let mpos = self.members[li]
-                    .iter()
-                    .position(|&m| m == i as u32)
+                    .binary_search(&(i as u32))
                     .expect("completed flow is a member");
                 self.members[li].remove(mpos);
                 if self.members[li].is_empty() {
                     let tpos = self
                         .touched
-                        .iter()
-                        .position(|&t| t == l.0)
+                        .binary_search(&l.0)
                         .expect("member link is touched");
                     self.touched.remove(tpos);
                 }
@@ -373,16 +403,16 @@ impl FlowNet {
     /// Recomputes max-min fair rates with progressive filling, and the
     /// completion deadlines that follow from them.
     ///
-    /// The work done here is proportional to the *active* flows and the
-    /// links they touch — counts and residuals come from the per-link
-    /// membership lists, the bottleneck of each filling round comes from
-    /// a lazily-revalidated min-heap (stale keys are discarded when the
-    /// current `residual/count` no longer matches), and each round
+    /// Counts and residuals come from the per-link membership lists, the
+    /// bottleneck of each filling round comes from a min-heap holding a
+    /// lower-bound key per link (see the module docs), and each round
     /// freezes only the members of the bottleneck link. Tie-breaking and
     /// floating-point evaluation order are kept exactly as the dense scan
     /// had them (ascending link id, ascending flow slot, shares derived
     /// from the live residual/count at selection time), so computed
-    /// rates — and therefore virtual time — are bit-identical.
+    /// rates — and therefore virtual time — are bit-identical. The work
+    /// is still proportional to the active flows: every start and finish
+    /// re-freezes all of them.
     fn recompute(&mut self) {
         let FlowNet {
             links,
@@ -399,6 +429,7 @@ impl FlowNet {
         let RecomputeScratch {
             counts,
             residual,
+            key_of,
             heap,
             frozen_at,
             epoch,
@@ -408,32 +439,35 @@ impl FlowNet {
         let epoch = *epoch;
         counts.resize(links.len(), 0);
         residual.resize(links.len(), 0.0);
+        key_of.resize(links.len(), 0.0);
         frozen_at.resize(flows.len(), 0);
-        heap.clear();
         stalled.clear();
         *earliest = None;
         *earliest_fresh = true;
         let mut unfrozen = active.len();
+        // Heapify the initial keys in one O(T) pass, reusing the heap's
+        // allocation.
+        let mut keys = std::mem::take(heap).into_vec();
+        keys.clear();
         for &li in touched.iter() {
             let l = li as usize;
             counts[l] = members[l].len() as u32;
             residual[l] = links[l].capacity;
             if !links[l].capacity.is_infinite() {
-                heap.push(Reverse(ShareKey {
-                    share: residual[l] / counts[l] as f64,
-                    li,
-                }));
+                let share = residual[l] / counts[l] as f64;
+                key_of[l] = share;
+                keys.push(Reverse(ShareKey { share, li }));
             }
         }
+        *heap = BinaryHeap::from(keys);
         while unfrozen > 0 {
-            // Pop heap keys until one still matches the live share of its
-            // link; anything a freeze invalidated was re-pushed with the
-            // fresh value, so the first match is the true bottleneck.
+            // Pop keys until one equals the live share of its link. Every
+            // live link keeps a key no greater than its share, so the
+            // first exact match is the argmin of (share, link id).
             let mut bottleneck = None;
-            while let Some(&Reverse(key)) = heap.peek() {
+            while let Some(Reverse(key)) = heap.pop() {
                 let l = key.li as usize;
                 if counts[l] == 0 {
-                    heap.pop();
                     continue;
                 }
                 let share = residual[l] / counts[l] as f64;
@@ -441,7 +475,14 @@ impl FlowNet {
                     bottleneck = Some((l, share));
                     break;
                 }
-                heap.pop();
+                if key.share == key_of[l] {
+                    // The link's lower bound was stale: its share rose
+                    // since the key was pushed. Re-key at the live share.
+                    debug_assert!(share > key.share, "heap key above live share");
+                    key_of[l] = share;
+                    heap.push(Reverse(ShareKey { share, li: key.li }));
+                }
+                // Otherwise a superseded key; the link's newest is queued.
             }
             match bottleneck {
                 None => {
@@ -458,7 +499,6 @@ impl FlowNet {
                     break;
                 }
                 Some((bli, share)) => {
-                    heap.pop();
                     let share = share.max(0.0);
                     // Freeze all unfrozen flows crossing the bottleneck in
                     // ascending slot order (the dense scan's flow order).
@@ -476,10 +516,15 @@ impl FlowNet {
                             residual[li] = (residual[li] - share).max(0.0);
                             counts[li] -= 1;
                             if counts[li] > 0 && !links[li].capacity.is_infinite() {
-                                heap.push(Reverse(ShareKey {
-                                    share: residual[li] / counts[li] as f64,
-                                    li: l.0,
-                                }));
+                                // Freezing at the minimum share never lowers
+                                // another link's share in exact arithmetic;
+                                // only rounding can, and then the bound must
+                                // follow it down.
+                                let s = residual[li] / counts[li] as f64;
+                                if s < key_of[li] {
+                                    key_of[li] = s;
+                                    heap.push(Reverse(ShareKey { share: s, li: l.0 }));
+                                }
                             }
                         }
                         if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
@@ -519,6 +564,8 @@ fn fold_deadline(earliest: &mut Option<SimDuration>, d: SimDuration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_nanos(ms * 1_000_000)
@@ -532,6 +579,86 @@ mod tests {
         let mut woken = Vec::new();
         net.tick(now, &mut woken);
         woken
+    }
+
+    /// Dense progressive-filling reference for [`FlowNet::recompute`]:
+    /// every round scans the touched links in ascending id for the
+    /// minimum `residual/count` (keeping the incumbent on ties), then
+    /// freezes the bottleneck's unfrozen flows in ascending slot order.
+    /// Returns `(slot, rate)` for every active flow, ascending by slot.
+    fn reference_rates(net: &FlowNet) -> Vec<(usize, f64)> {
+        let mut counts = vec![0u32; net.links.len()];
+        let mut residual = vec![0.0f64; net.links.len()];
+        let slots: Vec<usize> = (0..net.flows.len())
+            .filter(|&i| net.flows[i].is_some())
+            .collect();
+        let flow = |i: usize| net.flows[i].as_ref().expect("active slot");
+        for &i in &slots {
+            for l in &flow(i).links {
+                counts[l.0 as usize] += 1;
+            }
+        }
+        let touched: Vec<usize> = (0..net.links.len()).filter(|&l| counts[l] > 0).collect();
+        for &l in &touched {
+            residual[l] = net.links[l].capacity;
+        }
+        let mut rate: Vec<Option<f64>> = vec![None; net.flows.len()];
+        let mut unfrozen = slots.len();
+        while unfrozen > 0 {
+            let mut best: Option<(usize, f64)> = None;
+            for &l in &touched {
+                if counts[l] == 0 || net.links[l].capacity.is_infinite() {
+                    continue;
+                }
+                let s = residual[l] / counts[l] as f64;
+                match best {
+                    Some((_, b)) if b <= s => {}
+                    _ => best = Some((l, s)),
+                }
+            }
+            let Some((bl, share)) = best else {
+                for &i in &slots {
+                    rate[i].get_or_insert(f64::INFINITY);
+                }
+                break;
+            };
+            let share = share.max(0.0);
+            for &i in &slots {
+                let f = flow(i);
+                if rate[i].is_some() || !f.links.iter().any(|l| l.0 as usize == bl) {
+                    continue;
+                }
+                rate[i] = Some(share);
+                unfrozen -= 1;
+                for l in &f.links {
+                    let li = l.0 as usize;
+                    residual[li] = (residual[li] - share).max(0.0);
+                    counts[li] -= 1;
+                }
+            }
+        }
+        slots
+            .into_iter()
+            .map(|i| (i, rate[i].expect("every flow frozen")))
+            .collect()
+    }
+
+    /// Checks every active flow's rate against [`reference_rates`] to
+    /// the bit.
+    fn check_rates(net: &FlowNet, after: &str) -> Result<(), TestCaseError> {
+        for (i, want) in reference_rates(net) {
+            let got = net.flows[i].as_ref().expect("active slot").rate;
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "slot {} rate {} vs reference {} after {}",
+                i,
+                got,
+                want,
+                after
+            );
+        }
+        Ok(())
     }
 
     #[test]
@@ -785,6 +912,86 @@ mod tests {
                 .expect("active flows remain");
             tick(&mut net, at);
             assert_eq!(net.take_stalled(), None);
+        }
+    }
+
+    // Ops are `(kind, bytes, nic, shape, dt)`: kinds 0–2 start a
+    // store-shaped flow (fresh per-connection link, the shared backbone,
+    // one of the function NICs), kind 3 advances `dt` and ticks, kind 4
+    // advances to the predicted completion and ticks (the scheduler's
+    // own pattern). `shape` bits vary the flow: bit 0 adds the infinite
+    // link, bit 1 lists the NIC twice, bit 2 skips the backbone, bit 3
+    // gives the connection its NIC's capacity (an equal-capacity tie).
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every start and tick, and through a drain to quiescence,
+        /// every active flow's rate equals the dense reference's bit for
+        /// bit.
+        #[test]
+        fn rates_match_dense_reference_bit_for_bit(
+            caps in (1u64..=400, 1u64..=100, 1u64..=100),
+            nic_class in vec(0u8..3, 1..8),
+            ops in vec((0u8..5, 1u64..=1 << 30, any::<u8>(), any::<u8>(), 1u64..500_000_000), 1..120),
+        ) {
+            // Capacities in sevenths of a MiB/s so shares round. The
+            // backbone (up to ~57 MiB/s) binds against a few connections
+            // (up to ~14 MiB/s); NIC classes 0 and 1 share a capacity.
+            let (backbone_cap, conn_cap, nic_cap) = caps;
+            let bw = |sevenths: u64| Bandwidth::mib_per_sec(sevenths as f64 / 7.0);
+            let nic_bw = |class: u8| bw(if class == 2 { nic_cap + 3 } else { nic_cap });
+            let mut net = FlowNet::new();
+            let backbone = net.add_link(bw(backbone_cap));
+            let unlimited = net.add_link(Bandwidth::UNLIMITED);
+            let nics: Vec<(LinkId, u8)> = nic_class
+                .iter()
+                .map(|&c| (net.add_link(nic_bw(c)), c))
+                .collect();
+            let mut now = SimTime::ZERO;
+            let mut woken = Vec::new();
+            let mut waker = 0u32;
+            for &(kind, bytes, nic, shape, dt) in &ops {
+                match kind {
+                    0..=2 => {
+                        let (nic, class) = nics[nic as usize % nics.len()];
+                        let conn = if shape & 8 != 0 { nic_bw(class) } else { bw(conn_cap) };
+                        let mut links = vec![net.add_link(conn)];
+                        if shape & 4 == 0 {
+                            links.push(backbone);
+                        }
+                        links.push(nic);
+                        if shape & 2 != 0 {
+                            links.push(nic);
+                        }
+                        if shape & 1 != 0 {
+                            links.push(unlimited);
+                        }
+                        let spec = FlowSpec { bytes: ByteSize::new(bytes), links };
+                        net.start(now, spec, waker);
+                        waker += 1;
+                    }
+                    3 => {
+                        now = now.saturating_add(SimDuration::from_nanos(dt));
+                        net.tick(now, &mut woken);
+                    }
+                    _ => {
+                        if let Some(t) = net.next_completion(now) {
+                            now = t;
+                            net.tick(now, &mut woken);
+                        }
+                    }
+                }
+                check_rates(&net, &format!("op ({}, {}, {}, {}, {})", kind, bytes, nic, shape, dt))?;
+            }
+            let mut rounds = 0usize;
+            while let Some(t) = net.next_completion(now) {
+                now = t;
+                net.tick(now, &mut woken);
+                check_rates(&net, "a drain tick")?;
+                rounds += 1;
+                prop_assert!(rounds < 10_000, "drain did not converge");
+            }
+            prop_assert_eq!(net.active_flows(), 0);
         }
     }
 }
