@@ -37,18 +37,22 @@ faaspipe_json::json_object! { Row { req consumers, req kind, req aggregate_mib_s
 /// Modelled object size each consumer downloads.
 const OBJECT_MIB: usize = 256;
 
+/// Modelled bytes per physical byte: the store charges every transfer
+/// for `SIZE_SCALE` times the bytes it holds, so a 256 KiB blob is
+/// downloaded as a 256 MiB object without 64 × 256 MiB of host memory.
+const SIZE_SCALE: usize = 1024;
+
 fn setup(consumers: usize) -> (Sim, Services) {
     let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, StoreConfig::default());
+    let cfg = StoreConfig::default().with_size_scale(SIZE_SCALE as f64);
+    let blob = Bytes::from(vec![0u8; (OBJECT_MIB << 20) / SIZE_SCALE]);
+    assert_eq!(cfg.scaled_len(blob.len()), (OBJECT_MIB as u64) << 20);
+    let store = ObjectStore::install(&mut sim, cfg);
     let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
     store.create_bucket("data").expect("bucket");
     for i in 0..consumers {
         store
-            .put_untimed(
-                "data",
-                &format!("blob/{:04}", i),
-                Bytes::from(vec![0u8; OBJECT_MIB << 20]),
-            )
+            .put_untimed("data", &format!("blob/{:04}", i), blob.clone())
             .expect("stage blob");
     }
     (
@@ -70,25 +74,33 @@ fn functions_aggregate(consumers: usize) -> (f64, TraceData) {
     let faas = services.faas.clone();
     let store = services.store.clone();
     let span2 = Arc::clone(&span);
-    sim.spawn("driver", move |ctx| {
-        let hs: Vec<_> = (0..consumers)
-            .map(|i| {
-                let store = store.clone();
-                let span = Arc::clone(&span2);
-                faas.invoke_async(ctx, "reader", format!("bw/{}", i), move |fctx, env| {
-                    let client = store.connect_via(fctx, "bw", &[env.nic]);
-                    let t0 = fctx.now();
-                    client
-                        .get(fctx, "data", &format!("blob/{:04}", i))
-                        .expect("blob read");
-                    let t1 = fctx.now();
-                    let mut s = span.lock();
-                    s.0 = s.0.min(t0);
-                    s.1 = s.1.max(t1);
-                })
-            })
-            .collect();
-        ctx.join_all(&hs).expect("readers ok");
+    sim.spawn_task("driver", move |ctx| async move {
+        let mut hs = Vec::with_capacity(consumers);
+        for i in 0..consumers {
+            let store = store.clone();
+            let span = Arc::clone(&span2);
+            let h = faas
+                .invoke_task(
+                    &ctx,
+                    "reader",
+                    format!("bw/{}", i),
+                    async move |fctx, env| {
+                        let client = store.connect_via_async(fctx, "bw", &[env.nic]).await;
+                        let t0 = fctx.now();
+                        client
+                            .get_async(fctx, "data", &format!("blob/{:04}", i))
+                            .await
+                            .expect("blob read");
+                        let t1 = fctx.now();
+                        let mut s = span.lock();
+                        s.0 = s.0.min(t0);
+                        s.1 = s.1.max(t1);
+                    },
+                )
+                .await;
+            hs.push(h);
+        }
+        ctx.join_all_async(&hs).await.expect("readers ok");
     });
     sim.run().expect("sim ok");
     let (t0, t1) = *span.lock();
@@ -103,18 +115,21 @@ fn vm_single_connection(consumers: usize) -> f64 {
     let fleet = services.fleet.clone();
     let store = services.store.clone();
     let span2 = Arc::clone(&span);
-    sim.spawn("driver", move |ctx| {
-        let vm = fleet.provision(ctx, faaspipe_vm::VmProfile::bx2_8x32());
-        let client = store.connect_via(ctx, "vm-bw", &[vm.nic]);
+    sim.spawn_task("driver", move |mut ctx| async move {
+        let vm = fleet
+            .provision_async(&ctx, faaspipe_vm::VmProfile::bx2_8x32())
+            .await;
+        let client = store.connect_via_async(&ctx, "vm-bw", &[vm.nic]).await;
         let t0 = ctx.now();
         for i in 0..consumers {
             client
-                .get(ctx, "data", &format!("blob/{:04}", i))
+                .get_async(&mut ctx, "data", &format!("blob/{:04}", i))
+                .await
                 .expect("blob read");
         }
         let t1 = ctx.now();
         *span2.lock() = (t0, t1);
-        fleet.release(ctx, vm);
+        fleet.release(&ctx, vm);
     });
     sim.run().expect("sim ok");
     let (t0, t1) = *span.lock();

@@ -125,11 +125,11 @@ mod tests {
         let starts: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..3 {
             let starts = Arc::clone(&starts);
-            sim.spawn("run", move |ctx| {
-                gate.admit(ctx);
+            sim.spawn_task("run", move |ctx| async move {
+                gate.admit_async(&ctx).await;
                 starts.lock().push(ctx.now());
-                ctx.sleep(SimDuration::from_secs(10));
-                gate.release(ctx);
+                ctx.sleep_async(SimDuration::from_secs(10)).await;
+                gate.release_async(&ctx).await;
             });
         }
         sim.run().expect("sim ok");
@@ -155,8 +155,8 @@ mod tests {
         let starts: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..3 {
             let starts = Arc::clone(&starts);
-            sim.spawn("run", move |ctx| {
-                gate.admit(ctx);
+            sim.spawn_task("run", move |ctx| async move {
+                gate.admit_async(&ctx).await;
                 starts.lock().push(ctx.now());
             });
         }
@@ -176,9 +176,9 @@ mod tests {
         let mut sim = Sim::new();
         let gate = TenantGate::install(&mut sim, &AdmissionPolicy::unlimited());
         assert!(AdmissionPolicy::unlimited().is_unlimited());
-        sim.spawn("run", move |ctx| {
-            gate.admit(ctx);
-            gate.release(ctx);
+        sim.spawn_task("run", move |ctx| async move {
+            gate.admit_async(&ctx).await;
+            gate.release_async(&ctx).await;
             assert_eq!(ctx.now(), SimTime::ZERO);
         });
         sim.run().expect("sim ok");

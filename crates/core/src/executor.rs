@@ -1211,10 +1211,10 @@ mod tests {
         .expect("sort");
         let results: Arc<Mutex<Vec<StageResult>>> = Arc::new(Mutex::new(Vec::new()));
         let results2 = Arc::clone(&results);
-        sim.spawn("run-driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(40));
-            let handle = exec.spawn_dag_in(ctx, &dag);
-            ctx.join(handle.root).expect("workflow");
+        sim.spawn_task("run-driver", move |ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(40)).await;
+            let handle = exec.spawn_dag_in_async(&ctx, &dag).await;
+            ctx.join_async(handle.root).await.expect("workflow");
             *results2.lock() = handle.ok_results().expect("ok");
         });
         sim.run().expect("sim ok");

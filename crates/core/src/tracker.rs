@@ -286,15 +286,15 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
-            t2.stage_start(ctx, "sort");
-            ctx.sleep(SimDuration::from_secs(3));
-            t2.note(ctx, "sort", "autotuner picked 13 workers");
-            ctx.sleep(SimDuration::from_secs(2));
-            t2.stage_end(ctx, "sort");
-            t2.stage_start(ctx, "encode");
-            ctx.sleep(SimDuration::from_secs(1));
-            t2.stage_end(ctx, "encode");
+        sim.spawn_task("driver", move |ctx| async move {
+            t2.stage_start(&ctx, "sort");
+            ctx.sleep_async(SimDuration::from_secs(3)).await;
+            t2.note(&ctx, "sort", "autotuner picked 13 workers");
+            ctx.sleep_async(SimDuration::from_secs(2)).await;
+            t2.stage_end(&ctx, "sort");
+            t2.stage_start(&ctx, "encode");
+            ctx.sleep_async(SimDuration::from_secs(1)).await;
+            t2.stage_end(&ctx, "encode");
         });
         sim.run().expect("sim ok");
         let spans = tracker.spans();
@@ -315,13 +315,13 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
-            t2.stage_start(ctx, "sort");
-            ctx.sleep(SimDuration::from_secs(8));
-            t2.stage_end(ctx, "sort");
-            t2.stage_start(ctx, "encode");
-            ctx.sleep(SimDuration::from_secs(2));
-            t2.stage_end(ctx, "encode");
+        sim.spawn_task("driver", move |ctx| async move {
+            t2.stage_start(&ctx, "sort");
+            ctx.sleep_async(SimDuration::from_secs(8)).await;
+            t2.stage_end(&ctx, "sort");
+            t2.stage_start(&ctx, "encode");
+            ctx.sleep_async(SimDuration::from_secs(2)).await;
+            t2.stage_end(&ctx, "encode");
         });
         sim.run().expect("sim ok");
         let gantt = tracker.render_gantt(40);
@@ -346,8 +346,8 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
-            t2.stage_start(ctx, "sort");
+        sim.spawn_task("driver", move |ctx| async move {
+            t2.stage_start(&ctx, "sort");
         });
         sim.run().expect("sim ok");
         assert!(tracker.spans().is_empty());
@@ -367,10 +367,10 @@ mod tests {
         let tracker = Tracker::with_sink(sink.clone(), run);
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
-            t2.stage_start(ctx, "sort");
-            ctx.sleep(SimDuration::from_secs(1));
-            t2.stage_end(ctx, "sort");
+        sim.spawn_task("driver", move |ctx| async move {
+            t2.stage_start(&ctx, "sort");
+            ctx.sleep_async(SimDuration::from_secs(1)).await;
+            t2.stage_end(&ctx, "sort");
         });
         sim.run().expect("sim ok");
         let data = sink.snapshot();

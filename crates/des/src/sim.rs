@@ -767,15 +767,14 @@ mod tests {
         let report = Sim::new().run().expect("empty sim");
         assert_eq!(report.end_time, SimTime::ZERO);
         assert_eq!(report.processes, 0);
-        assert_eq!(report.pool_workers, 0);
     }
 
     #[test]
     fn sleep_advances_clock() {
         let mut sim = Sim::new();
-        sim.spawn("sleeper", |ctx| {
-            ctx.sleep(SimDuration::from_secs(5));
-            ctx.sleep(SimDuration::from_millis(250));
+        sim.spawn_task("sleeper", |ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(5)).await;
+            ctx.sleep_async(SimDuration::from_millis(250)).await;
         });
         let report = sim.run().expect("run");
         assert_eq!(report.end_time.as_nanos(), 5_250_000_000);
@@ -787,8 +786,9 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..3u64 {
             let log = Arc::clone(&log);
-            sim.spawn(format!("p{}", i), move |ctx| {
-                ctx.sleep(SimDuration::from_millis(10 * (3 - i)));
+            sim.spawn_task(format!("p{}", i), move |ctx| async move {
+                ctx.sleep_async(SimDuration::from_millis(10 * (3 - i)))
+                    .await;
                 log.lock().unwrap().push(i);
             });
         }
@@ -801,13 +801,15 @@ mod tests {
         let out = Arc::new(Mutex::new(0u64));
         let mut sim = Sim::new();
         let out2 = Arc::clone(&out);
-        sim.spawn("parent", move |ctx| {
+        sim.spawn_task("parent", move |ctx| async move {
             let out3 = Arc::clone(&out2);
-            let child = ctx.spawn("child", move |cctx| {
-                cctx.sleep(SimDuration::from_secs(1));
-                *out3.lock().unwrap() = 42;
-            });
-            ctx.join(child).expect("child ok");
+            let child = ctx
+                .spawn_task("child", move |cctx| async move {
+                    cctx.sleep_async(SimDuration::from_secs(1)).await;
+                    *out3.lock().unwrap() = 42;
+                })
+                .await;
+            ctx.join_async(child).await.expect("child ok");
             assert_eq!(ctx.now().as_secs_f64(), 1.0);
             assert_eq!(*out2.lock().unwrap(), 42);
         });
@@ -818,10 +820,10 @@ mod tests {
     #[test]
     fn join_already_finished_child() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let child = ctx.spawn("quick", |_| {});
-            ctx.sleep(SimDuration::from_secs(1));
-            ctx.join(child).expect("quick ok");
+        sim.spawn_task("parent", |ctx| async move {
+            let child = ctx.spawn_task("quick", |_| async {}).await;
+            ctx.sleep_async(SimDuration::from_secs(1)).await;
+            ctx.join_async(child).await.expect("quick ok");
             assert_eq!(ctx.now().as_secs_f64(), 1.0, "join must not add time");
         });
         sim.run().expect("run");
@@ -830,9 +832,11 @@ mod tests {
     #[test]
     fn join_observes_child_panic() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let child = ctx.spawn("bad", |_| panic!("boom"));
-            let err = ctx.join(child).expect_err("child panicked");
+        sim.spawn_task("parent", |ctx| async move {
+            let child = ctx
+                .spawn_task("bad", |_c| async move { panic!("boom") })
+                .await;
+            let err = ctx.join_async(child).await.expect_err("child panicked");
             assert_eq!(err.process, "bad");
             assert!(err.message.contains("boom"));
         });
@@ -842,7 +846,7 @@ mod tests {
     #[test]
     fn unobserved_panic_fails_run() {
         let mut sim = Sim::new();
-        sim.spawn("bad", |_| panic!("kaboom"));
+        sim.spawn_task("bad", |_ctx| async move { panic!("kaboom") });
         let err = sim.run().expect_err("must fail");
         match err {
             SimError::ProcessPanicked { process, message } => {
@@ -860,11 +864,11 @@ mod tests {
         let sem = sim.create_semaphore(1);
         for i in 0..4u64 {
             let log = Arc::clone(&log);
-            sim.spawn(format!("w{}", i), move |ctx| {
-                ctx.sem_acquire(sem, 1);
+            sim.spawn_task(format!("w{}", i), move |ctx| async move {
+                ctx.sem_acquire_async(sem, 1).await;
                 log.lock().unwrap().push((i, ctx.now()));
-                ctx.sleep(SimDuration::from_secs(1));
-                ctx.sem_release(sem, 1);
+                ctx.sleep_async(SimDuration::from_secs(1)).await;
+                ctx.sem_release_async(sem, 1).await;
             });
         }
         sim.run().expect("run");
@@ -880,9 +884,9 @@ mod tests {
     fn limiter_throttles_ops() {
         let mut sim = Sim::new();
         let lim = sim.create_limiter(10.0, 1.0); // 10 ops/s, burst 1
-        sim.spawn("client", move |ctx| {
+        sim.spawn_task("client", move |ctx| async move {
             for _ in 0..5 {
-                ctx.limiter_acquire(lim, 1.0);
+                ctx.limiter_acquire_async(lim, 1.0).await;
             }
             // First op free (full bucket), remaining 4 at 0.1 s apart.
             assert!((ctx.now().as_secs_f64() - 0.4).abs() < 1e-6);
@@ -897,14 +901,15 @@ mod tests {
         let done = Arc::new(Mutex::new(Vec::new()));
         for i in 0..2u64 {
             let done = Arc::clone(&done);
-            sim.spawn(format!("t{}", i), move |ctx| {
-                ctx.transfer(ByteSize::new(100), &[link]);
+            sim.spawn_task(format!("t{}", i), move |ctx| async move {
+                ctx.transfer_async(ByteSize::new(100), &[link]).await;
                 done.lock().unwrap().push((i, ctx.now()));
             });
         }
         sim.run().expect("run");
         let done = done.lock().unwrap();
         // Two 100-byte flows share 100 B/s: both complete at t=2s.
+        assert_eq!(done.len(), 2);
         for (_, at) in done.iter() {
             assert!((at.as_secs_f64() - 2.0).abs() < 1e-6);
         }
@@ -916,13 +921,13 @@ mod tests {
         let link = sim.create_link(Bandwidth::bytes_per_sec(100.0));
         let done = Arc::new(Mutex::new(HashMap::new()));
         let d1 = Arc::clone(&done);
-        sim.spawn("small", move |ctx| {
-            ctx.transfer(ByteSize::new(50), &[link]);
+        sim.spawn_task("small", move |ctx| async move {
+            ctx.transfer_async(ByteSize::new(50), &[link]).await;
             d1.lock().unwrap().insert("small", ctx.now().as_secs_f64());
         });
         let d2 = Arc::clone(&done);
-        sim.spawn("large", move |ctx| {
-            ctx.transfer(ByteSize::new(500), &[link]);
+        sim.spawn_task("large", move |ctx| async move {
+            ctx.transfer_async(ByteSize::new(500), &[link]).await;
             d2.lock().unwrap().insert("large", ctx.now().as_secs_f64());
         });
         sim.run().expect("run");
@@ -937,8 +942,8 @@ mod tests {
     fn deadlock_is_reported() {
         let mut sim = Sim::new();
         let sem = sim.create_semaphore(0);
-        sim.spawn("stuck", move |ctx| {
-            ctx.sem_acquire(sem, 1);
+        sim.spawn_task("stuck", move |ctx| async move {
+            ctx.sem_acquire_async(sem, 1).await;
         });
         let err = sim.run().expect_err("deadlock");
         match err {
@@ -954,7 +959,7 @@ mod tests {
             let out = Arc::new(Mutex::new(Vec::new()));
             let mut sim = Sim::new();
             let out2 = Arc::clone(&out);
-            sim.spawn("r", move |ctx| {
+            sim.spawn_task("r", move |mut ctx| async move {
                 let v: Vec<u64> = (0..8).map(|_| ctx.rng().gen()).collect();
                 out2.lock().unwrap().extend(v);
             });
@@ -968,15 +973,17 @@ mod tests {
     #[test]
     fn join_all_aggregates() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let kids: Vec<_> = (0..4)
-                .map(|i| {
-                    ctx.spawn(format!("k{}", i), move |c| {
-                        c.sleep(SimDuration::from_secs(i + 1));
+        sim.spawn_task("parent", |ctx| async move {
+            let mut kids = Vec::new();
+            for i in 0..4 {
+                let kid = ctx
+                    .spawn_task(format!("k{}", i), move |c| async move {
+                        c.sleep_async(SimDuration::from_secs(i + 1)).await;
                     })
-                })
-                .collect();
-            ctx.join_all(&kids).expect("all ok");
+                    .await;
+                kids.push(kid);
+            }
+            ctx.join_all_async(&kids).await.expect("all ok");
             assert_eq!(ctx.now().as_secs_f64(), 4.0);
         });
         sim.run().expect("run");
@@ -992,7 +999,7 @@ mod tests {
                 ..SimConfig::default()
             });
             let out2 = Arc::clone(&out);
-            sim.spawn("r", move |ctx| {
+            sim.spawn_task("r", move |mut ctx| async move {
                 *out2.lock().unwrap() = ctx.rng().gen();
             });
             sim.run().expect("run");
@@ -1004,40 +1011,53 @@ mod tests {
     }
 
     #[test]
+    fn child_processes_draw_distinct_rng_streams() {
+        // Two sequential children must draw from distinct, pid-seeded
+        // random streams.
+        use rand::Rng;
+        let draws = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new();
+        let d = Arc::clone(&draws);
+        sim.spawn_task("root", move |ctx| async move {
+            for i in 0..2 {
+                let d = Arc::clone(&d);
+                let child = ctx
+                    .spawn_task(format!("c{}", i), move |mut c| async move {
+                        d.lock().unwrap().push(c.rng().gen::<u64>());
+                    })
+                    .await;
+                ctx.join_async(child).await.expect("child ok");
+            }
+        });
+        sim.run().expect("run");
+        let draws = draws.lock().unwrap();
+        assert_ne!(draws[0], draws[1], "streams must differ across processes");
+    }
+
+    #[test]
     fn deep_spawn_trees_work() {
         // Each process spawns a child, 50 levels deep, each sleeping 1 ms.
-        fn spawn_level(ctx: &mut Ctx, level: u64) {
-            ctx.sleep(SimDuration::from_millis(1));
-            if level > 0 {
-                let child = ctx.spawn(format!("level{}", level), move |c| {
-                    spawn_level(c, level - 1);
-                });
-                ctx.join(child).expect("child ok");
-            }
+        fn spawn_level(ctx: Ctx, level: u64) -> LocalBoxFuture<'static, ()> {
+            Box::pin(async move {
+                ctx.sleep_async(SimDuration::from_millis(1)).await;
+                if level > 0 {
+                    let child = ctx
+                        .spawn_task(format!("level{}", level), move |c| {
+                            spawn_level(c, level - 1)
+                        })
+                        .await;
+                    ctx.join_async(child).await.expect("child ok");
+                }
+            })
         }
         let mut sim = Sim::new();
-        sim.spawn("root", |ctx| spawn_level(ctx, 50));
+        sim.spawn_task("root", |ctx| spawn_level(ctx, 50));
         let report = sim.run().expect("run");
         assert_eq!(report.processes, 51);
         assert_eq!(report.end_time.as_nanos(), 51 * 1_000_000);
         // Every level blocks in a join while its child runs, so all 51
-        // bodies are live at the deepest point and each needs a worker.
-        assert_eq!(report.pool_workers, 51);
+        // processes are live at the deepest point.
         assert_eq!(report.peak_live_processes, 51);
-    }
-
-    #[test]
-    fn custom_stack_size_is_honored() {
-        let mut sim = Sim::with_config(SimConfig {
-            stack_size: 512 * 1024,
-            ..SimConfig::default()
-        });
-        sim.spawn("small-stack", |ctx| {
-            // Use a modest amount of stack to prove the thread works.
-            let buf = [0u8; 64 * 1024];
-            ctx.sleep(SimDuration::from_nanos(buf[0] as u64 + 1));
-        });
-        sim.run().expect("run");
     }
 
     #[test]
@@ -1047,10 +1067,10 @@ mod tests {
         let mut sim = Sim::new();
         for who in 0..2u64 {
             let log = Arc::clone(&log);
-            sim.spawn(format!("p{}", who), move |ctx| {
+            sim.spawn_task(format!("p{}", who), move |ctx| async move {
                 for _ in 0..3 {
                     log.lock().unwrap().push(who);
-                    ctx.sleep(SimDuration::ZERO);
+                    ctx.sleep_async(SimDuration::ZERO).await;
                 }
             });
         }
@@ -1067,90 +1087,57 @@ mod tests {
     fn many_processes_scale() {
         let mut sim = Sim::new();
         let counter = Arc::new(AtomicU64::new(0));
-        for i in 0..200u64 {
+        for i in 0..2000u64 {
             let counter = Arc::clone(&counter);
-            sim.spawn(format!("n{}", i), move |ctx| {
-                ctx.sleep(SimDuration::from_millis(i));
+            sim.spawn_task(format!("n{}", i), move |ctx| async move {
+                ctx.sleep_async(SimDuration::from_millis(i % 50)).await;
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
         let report = sim.run().expect("run");
-        assert_eq!(counter.load(Ordering::SeqCst), 200);
-        assert_eq!(report.processes, 200);
-        assert_eq!(report.peak_live_processes, 200);
+        assert_eq!(counter.load(Ordering::SeqCst), 2000);
+        assert_eq!(report.processes, 2000);
+        assert_eq!(report.peak_live_processes, 2000);
     }
 
     #[test]
-    fn sequential_processes_reuse_one_worker() {
-        // 500 processes that never overlap in virtual time: the pool must
-        // run them all on a single reused OS thread.
+    fn peak_live_tracks_concurrency_not_total() {
+        // Waves of 8 concurrent processes, 10 waves: 8 children + the root.
         let mut sim = Sim::new();
-        sim.spawn("root", |ctx| {
-            for i in 0..500u64 {
-                let child = ctx.spawn(format!("seq{}", i), |c| {
-                    c.sleep(SimDuration::from_millis(1));
-                });
-                ctx.join(child).expect("child ok");
-            }
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.processes, 501);
-        // Root is blocked in join while each child runs: two workers.
-        assert_eq!(report.pool_workers, 2, "thread churn is gone");
-        assert_eq!(report.peak_live_processes, 2);
-    }
-
-    #[test]
-    fn pool_grows_to_peak_concurrency_not_total() {
-        // Waves of 8 concurrent processes, 10 waves: 8 workers + the root.
-        let mut sim = Sim::new();
-        sim.spawn("root", |ctx| {
+        sim.spawn_task("root", |ctx| async move {
             for _ in 0..10 {
-                let kids: Vec<_> = (0..8)
-                    .map(|i| {
-                        ctx.spawn(format!("wave{}", i), |c| {
-                            c.sleep(SimDuration::from_millis(3));
+                let mut kids = Vec::new();
+                for i in 0..8 {
+                    let kid = ctx
+                        .spawn_task(format!("wave{}", i), |c| async move {
+                            c.sleep_async(SimDuration::from_millis(3)).await;
                         })
-                    })
-                    .collect();
-                ctx.join_all(&kids).expect("wave ok");
+                        .await;
+                    kids.push(kid);
+                }
+                ctx.join_all_async(&kids).await.expect("wave ok");
             }
         });
         let report = sim.run().expect("run");
         assert_eq!(report.processes, 81);
-        assert_eq!(report.pool_workers, 9, "pool sized by peak, not total");
         assert_eq!(report.peak_live_processes, 9);
-    }
-
-    #[test]
-    fn spawned_but_never_scheduled_processes_cost_no_thread() {
-        // A deadlocked sim whose second process never gets its first wake
-        // must still tear down cleanly (the body is dropped, not run).
-        let mut sim = Sim::new();
-        let sem = sim.create_semaphore(0);
-        sim.spawn("stuck", move |ctx| {
-            // Spawn a child, then block forever before it could matter.
-            let _child = ctx.spawn("never-run", |c| c.sleep(SimDuration::from_secs(1)));
-            ctx.sem_acquire(sem, 1);
-        });
-        let err = sim.run().expect_err("deadlock");
-        assert!(matches!(err, SimError::Deadlock { .. }));
     }
 
     #[test]
     fn fan_out_returns_results_in_job_order() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
+        sim.spawn_task("parent", |ctx| async move {
             let jobs: Vec<_> = (0..6u64)
                 .map(|i| {
-                    move |cctx: &mut Ctx| {
+                    async move |cctx: &mut Ctx| {
                         // Later jobs finish earlier; order must still hold.
-                        cctx.sleep(SimDuration::from_millis(60 - 10 * i));
+                        cctx.sleep_async(SimDuration::from_millis(60 - 10 * i))
+                            .await;
                         i * 2
                     }
                 })
                 .collect();
-            let out = ctx.fan_out("job", 6, jobs).expect("fan_out ok");
+            let out = ctx.fan_out_async("job", 6, jobs).await.expect("fan_out ok");
             assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
         });
         sim.run().expect("run");
@@ -1161,263 +1148,6 @@ mod tests {
         // 4 one-second jobs through a window of 2 take exactly 2 s, and
         // never more than 2 run at once.
         let inflight = Arc::new(Mutex::new((0u32, 0u32))); // (current, peak)
-        let mut sim = Sim::new();
-        let inflight2 = Arc::clone(&inflight);
-        sim.spawn("parent", move |ctx| {
-            let jobs: Vec<_> = (0..4)
-                .map(|_| {
-                    let inflight = Arc::clone(&inflight2);
-                    move |cctx: &mut Ctx| {
-                        {
-                            let mut g = inflight.lock().unwrap();
-                            g.0 += 1;
-                            g.1 = g.1.max(g.0);
-                        }
-                        cctx.sleep(SimDuration::from_secs(1));
-                        inflight.lock().unwrap().0 -= 1;
-                    }
-                })
-                .collect();
-            ctx.fan_out("bounded", 2, jobs).expect("fan_out ok");
-            assert_eq!(ctx.now().as_secs_f64(), 2.0, "2 waves of 2 jobs");
-        });
-        sim.run().expect("run");
-        assert_eq!(inflight.lock().unwrap().1, 2, "window caps concurrency");
-    }
-
-    #[test]
-    fn fan_out_panic_surfaces_without_deadlocking_siblings() {
-        let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            // Worker 0 pulls the panicking job and dies; worker 1 keeps
-            // draining the queue, so the surviving job still runs and
-            // the fan-out returns (first error) instead of hanging.
-            type BoxedJob = Box<dyn FnOnce(&mut Ctx) -> u32 + Send>;
-            let jobs: Vec<BoxedJob> = vec![
-                Box::new(|_: &mut Ctx| panic!("job zero failed")),
-                Box::new(|cctx: &mut Ctx| {
-                    cctx.sleep(SimDuration::from_millis(5));
-                    7
-                }),
-            ];
-            let err = ctx.fan_out("mixed", 2, jobs).expect_err("panic surfaces");
-            assert_eq!(err.process, "mixed#0");
-            assert!(err.message.contains("job zero failed"));
-            assert!(
-                ctx.now().as_secs_f64() >= 0.005,
-                "sibling still ran to completion"
-            );
-        });
-        sim.run().expect("observed panic is not a sim error");
-    }
-
-    #[test]
-    fn fan_out_empty_and_zero_window() {
-        let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let none: Vec<fn(&mut Ctx) -> u8> = Vec::new();
-            assert_eq!(ctx.fan_out("empty", 4, none).expect("empty ok"), vec![]);
-            // Window 0 is clamped to 1 rather than deadlocking.
-            let jobs: Vec<_> = (0..2u8).map(|i| move |_: &mut Ctx| i).collect();
-            assert_eq!(ctx.fan_out("clamped", 0, jobs).expect("ok"), vec![0, 1]);
-        });
-        sim.run().expect("run");
-    }
-
-    #[test]
-    fn task_sleep_advances_clock_without_pool_threads() {
-        let mut sim = Sim::new();
-        sim.spawn_task("sleeper", |ctx| async move {
-            ctx.sleep_async(SimDuration::from_secs(5)).await;
-            ctx.sleep_async(SimDuration::from_millis(250)).await;
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.end_time.as_nanos(), 5_250_000_000);
-        assert_eq!(report.pool_workers, 0, "stackless bodies cost no threads");
-    }
-
-    #[test]
-    fn tasks_and_threads_share_one_virtual_schedule() {
-        // The same workload, thread-backed vs task-backed, must produce
-        // identical end times, event counts, and interleavings.
-        fn run_flavor(tasks: bool) -> (u64, u64, Vec<u64>) {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut sim = Sim::new();
-            for i in 0..3u64 {
-                let log = Arc::clone(&log);
-                if tasks {
-                    sim.spawn_task(format!("p{}", i), move |ctx| async move {
-                        ctx.sleep_async(SimDuration::from_millis(10 * (3 - i)))
-                            .await;
-                        log.lock().unwrap().push(i);
-                    });
-                } else {
-                    sim.spawn(format!("p{}", i), move |ctx| {
-                        ctx.sleep(SimDuration::from_millis(10 * (3 - i)));
-                        log.lock().unwrap().push(i);
-                    });
-                }
-            }
-            let report = sim.run().expect("run");
-            let order = log.lock().unwrap().clone();
-            (report.end_time.as_nanos(), report.events, order)
-        }
-        assert_eq!(run_flavor(false), run_flavor(true));
-    }
-
-    #[test]
-    fn task_spawns_and_joins_task_children() {
-        let out = Arc::new(Mutex::new(0u64));
-        let mut sim = Sim::new();
-        let out2 = Arc::clone(&out);
-        sim.spawn_task("parent", move |ctx| async move {
-            let out3 = Arc::clone(&out2);
-            let child = ctx
-                .spawn_task("child", move |cctx| async move {
-                    cctx.sleep_async(SimDuration::from_secs(1)).await;
-                    *out3.lock().unwrap() = 42;
-                })
-                .await;
-            ctx.join_async(child).await.expect("child ok");
-            assert_eq!(ctx.now().as_secs_f64(), 1.0);
-            assert_eq!(*out2.lock().unwrap(), 42);
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(*out.lock().unwrap(), 42);
-        assert_eq!(report.pool_workers, 0);
-    }
-
-    #[test]
-    fn blocking_process_drives_task_children_via_run_blocking() {
-        // The legacy bridge: a thread-backed driver uses the async API
-        // eagerly through run_blocking.
-        use crate::process::run_blocking;
-        let mut sim = Sim::new();
-        sim.spawn("driver", |ctx| {
-            let child = run_blocking(ctx.spawn_task("t", |c| async move {
-                c.sleep_async(SimDuration::from_secs(2)).await;
-            }));
-            ctx.join(child).expect("child ok");
-            assert_eq!(ctx.now().as_secs_f64(), 2.0);
-            run_blocking(ctx.sleep_async(SimDuration::from_secs(1)));
-            assert_eq!(ctx.now().as_secs_f64(), 3.0);
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.end_time.as_secs_f64(), 3.0);
-        assert_eq!(report.pool_workers, 1, "only the driver needs a thread");
-    }
-
-    #[test]
-    fn task_panic_is_observed_by_joiner() {
-        let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
-            let child = ctx
-                .spawn_task("bad", |_c| async move { panic!("boom") })
-                .await;
-            let err = ctx.join_async(child).await.expect_err("child panicked");
-            assert_eq!(err.process, "bad");
-            assert!(err.message.contains("boom"));
-        });
-        sim.run().expect("observed panic is not a sim error");
-    }
-
-    #[test]
-    fn unobserved_task_panic_fails_run() {
-        let mut sim = Sim::new();
-        sim.spawn_task("bad", |_ctx| async move { panic!("kaboom") });
-        let err = sim.run().expect_err("must fail");
-        assert!(matches!(err, SimError::ProcessPanicked { .. }));
-    }
-
-    #[test]
-    fn task_semaphores_and_limiters_match_blocking_semantics() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new();
-        let sem = sim.create_semaphore(1);
-        for i in 0..4u64 {
-            let log = Arc::clone(&log);
-            sim.spawn_task(format!("w{}", i), move |ctx| async move {
-                ctx.sem_acquire_async(sem, 1).await;
-                log.lock().unwrap().push((i, ctx.now()));
-                ctx.sleep_async(SimDuration::from_secs(1)).await;
-                ctx.sem_release_async(sem, 1).await;
-            });
-        }
-        sim.run().expect("run");
-        let log = log.lock().unwrap();
-        for (i, (w, at)) in log.iter().enumerate() {
-            assert_eq!(*w, i as u64);
-            assert_eq!(at.as_secs_f64(), i as f64);
-        }
-    }
-
-    #[test]
-    fn task_transfers_share_links_fairly() {
-        let mut sim = Sim::new();
-        let link = sim.create_link(Bandwidth::bytes_per_sec(100.0));
-        let done = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..2u64 {
-            let done = Arc::clone(&done);
-            sim.spawn_task(format!("t{}", i), move |ctx| async move {
-                ctx.transfer_async(ByteSize::new(100), &[link]).await;
-                done.lock().unwrap().push((i, ctx.now()));
-            });
-        }
-        sim.run().expect("run");
-        for (_, at) in done.lock().unwrap().iter() {
-            assert!((at.as_secs_f64() - 2.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn task_rng_streams_match_blocking_streams() {
-        // RNG seeding depends only on (seed, pid) — never on the backing.
-        use rand::Rng;
-        fn draw(tasks: bool) -> Vec<u64> {
-            let out = Arc::new(Mutex::new(Vec::new()));
-            let mut sim = Sim::new();
-            let out2 = Arc::clone(&out);
-            if tasks {
-                sim.spawn_task("r", move |mut ctx| async move {
-                    let v: Vec<u64> = (0..8).map(|_| ctx.rng().gen()).collect();
-                    out2.lock().unwrap().extend(v);
-                });
-            } else {
-                sim.spawn("r", move |ctx| {
-                    let v: Vec<u64> = (0..8).map(|_| ctx.rng().gen()).collect();
-                    out2.lock().unwrap().extend(v);
-                });
-            }
-            sim.run().expect("run");
-            let v = out.lock().unwrap().clone();
-            v
-        }
-        assert_eq!(draw(false), draw(true));
-    }
-
-    #[test]
-    fn fan_out_async_returns_results_in_job_order() {
-        let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
-            let jobs: Vec<_> = (0..6u64)
-                .map(|i| {
-                    async move |cctx: &mut Ctx| {
-                        cctx.sleep_async(SimDuration::from_millis(60 - 10 * i))
-                            .await;
-                        i * 2
-                    }
-                })
-                .collect();
-            let out = ctx.fan_out_async("job", 6, jobs).await.expect("fan_out ok");
-            assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.pool_workers, 0);
-    }
-
-    #[test]
-    fn fan_out_async_window_bounds_concurrency() {
-        let inflight = Arc::new(Mutex::new((0u32, 0u32)));
         let mut sim = Sim::new();
         let inflight2 = Arc::clone(&inflight);
         sim.spawn_task("parent", move |ctx| async move {
@@ -1440,6 +1170,57 @@ mod tests {
         });
         sim.run().expect("run");
         assert_eq!(inflight.lock().unwrap().1, 2, "window caps concurrency");
+    }
+
+    #[test]
+    fn fan_out_panic_surfaces_without_deadlocking_siblings() {
+        let mut sim = Sim::new();
+        sim.spawn_task("parent", |ctx| async move {
+            // Worker 0 pulls the panicking job and dies; worker 1 keeps
+            // draining the queue, so the surviving job still runs and
+            // the fan-out returns (first error) instead of hanging.
+            let jobs: Vec<_> = (0..2u32)
+                .map(|i| {
+                    async move |cctx: &mut Ctx| {
+                        if i == 0 {
+                            panic!("job zero failed");
+                        }
+                        cctx.sleep_async(SimDuration::from_millis(5)).await;
+                        7
+                    }
+                })
+                .collect();
+            let err = ctx
+                .fan_out_async("mixed", 2, jobs)
+                .await
+                .expect_err("panic surfaces");
+            assert_eq!(err.process, "mixed#0");
+            assert!(err.message.contains("job zero failed"));
+            assert!(
+                ctx.now().as_secs_f64() >= 0.005,
+                "sibling still ran to completion"
+            );
+        });
+        sim.run().expect("observed panic is not a sim error");
+    }
+
+    #[test]
+    fn fan_out_empty_and_zero_window() {
+        let mut sim = Sim::new();
+        sim.spawn_task("parent", |ctx| async move {
+            let none: Vec<fn(&mut Ctx) -> std::future::Ready<u8>> = Vec::new();
+            assert_eq!(
+                ctx.fan_out_async("empty", 4, none).await.expect("empty ok"),
+                Vec::<u8>::new()
+            );
+            // Window 0 is clamped to 1 rather than deadlocking.
+            let jobs: Vec<_> = (0..2u8).map(|i| async move |_: &mut Ctx| i).collect();
+            assert_eq!(
+                ctx.fan_out_async("clamped", 0, jobs).await.expect("ok"),
+                vec![0, 1]
+            );
+        });
+        sim.run().expect("run");
     }
 
     #[test]
@@ -1500,99 +1281,5 @@ mod tests {
             assert!(err.message.contains("kernel died"));
         });
         sim.run().expect("observed panic is fine");
-    }
-
-    #[test]
-    fn offload_runs_inline_on_thread_backed_processes() {
-        let mut sim = Sim::new();
-        sim.spawn("driver", |ctx| {
-            use crate::process::run_blocking;
-            let v: u64 = run_blocking(ctx.offload(SimDuration::from_millis(5), || 99));
-            assert_eq!(v, 99);
-            assert_eq!(ctx.now().as_nanos(), 5_000_000);
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(
-            report.offload_workers, 0,
-            "thread bodies run kernels inline"
-        );
-    }
-
-    #[test]
-    fn blocked_task_deadlock_is_reported() {
-        let mut sim = Sim::new();
-        let sem = sim.create_semaphore(0);
-        sim.spawn_task("stuck", move |ctx| async move {
-            ctx.sem_acquire_async(sem, 1).await;
-        });
-        let err = sim.run().expect_err("deadlock");
-        match err {
-            SimError::Deadlock { blocked } => assert_eq!(blocked, vec!["stuck".to_string()]),
-            other => panic!("unexpected error {:?}", other),
-        }
-    }
-
-    #[test]
-    fn zero_sleep_tasks_round_robin_with_threads() {
-        // A task and a thread-backed process alternating zero-sleeps
-        // interleave exactly as two thread-backed processes would.
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new();
-        let l0 = Arc::clone(&log);
-        sim.spawn_task("p0", move |ctx| async move {
-            for _ in 0..3 {
-                l0.lock().unwrap().push(0u64);
-                ctx.sleep_async(SimDuration::ZERO).await;
-            }
-        });
-        let l1 = Arc::clone(&log);
-        sim.spawn("p1", move |ctx| {
-            for _ in 0..3 {
-                l1.lock().unwrap().push(1u64);
-                ctx.sleep(SimDuration::ZERO);
-            }
-        });
-        sim.run().expect("run");
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn many_tasks_scale_without_threads() {
-        let mut sim = Sim::new();
-        let counter = Arc::new(AtomicU64::new(0));
-        for i in 0..2000u64 {
-            let counter = Arc::clone(&counter);
-            sim.spawn_task(format!("n{}", i), move |ctx| async move {
-                ctx.sleep_async(SimDuration::from_millis(i % 50)).await;
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let report = sim.run().expect("run");
-        assert_eq!(counter.load(Ordering::SeqCst), 2000);
-        assert_eq!(report.pool_workers, 0);
-        assert_eq!(report.peak_live_processes, 2000);
-    }
-
-    #[test]
-    fn worker_reuse_keeps_per_process_rng_streams() {
-        // Two sequential processes share one worker thread but must draw
-        // from distinct, pid-seeded random streams.
-        use rand::Rng;
-        let draws = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new();
-        let d = Arc::clone(&draws);
-        sim.spawn("root", move |ctx| {
-            for i in 0..2 {
-                let d = Arc::clone(&d);
-                let child = ctx.spawn(format!("c{}", i), move |c| {
-                    d.lock().unwrap().push(c.rng().gen::<u64>());
-                });
-                ctx.join(child).expect("child ok");
-            }
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.pool_workers, 2);
-        let draws = draws.lock().unwrap();
-        assert_ne!(draws[0], draws[1], "streams must differ across processes");
     }
 }

@@ -403,33 +403,45 @@ mod tests {
         let mut sim = Sim::new();
         let ex = Arc::new(DirectExchange::new(DirectConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
             let before = ctx.now();
             for m in 0..2usize {
                 let parts = vec![
                     Bytes::from(format!("m{}p0", m)),
                     Bytes::from(format!("m{}p1", m)),
                 ];
-                assert_eq!(ex2.write_partitions(ctx, &env, m, parts).expect("write"), 8);
+                assert_eq!(
+                    ex2.write_partitions_async(&mut ctx, &env, m, parts)
+                        .await
+                        .expect("write"),
+                    8
+                );
             }
             // Writes cost only the handshake, not a transfer.
             let write_cost = ctx.now().saturating_duration_since(before);
             assert!(write_cost <= SimDuration::from_millis(2));
             for m in 0..2usize {
                 for j in 0..2usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).expect("read");
+                    let data = ex2
+                        .read_partition_async(&mut ctx, &env, m, j)
+                        .await
+                        .expect("read");
                     assert_eq!(data, Bytes::from(format!("m{}p{}", m, j)));
                 }
             }
             assert_eq!(
-                ex2.list(ctx, &env).expect("list").len(),
+                ex2.list_async(&mut ctx, &env).await.expect("list").len(),
                 4,
                 "all four partitions registered"
             );
-            ex2.cleanup(ctx, &env).expect("cleanup");
-            assert!(ex2.list(ctx, &env).expect("list").is_empty());
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
+            assert!(ex2
+                .list_async(&mut ctx, &env)
+                .await
+                .expect("list")
+                .is_empty());
         });
         sim.run().expect("sim ok");
     }
@@ -443,13 +455,17 @@ mod tests {
         };
         let ex = Arc::new(DirectExchange::new(cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 1, 1).expect("prepare");
-            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+            ex2.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
+            ex2.write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect("write");
-            ctx.sleep(SimDuration::from_secs(10));
-            let err = ex2.read_partition(ctx, &env, 0, 0).expect_err("evicted");
+            ctx.sleep_async(SimDuration::from_secs(10)).await;
+            let err = ex2
+                .read_partition_async(&mut ctx, &env, 0, 0)
+                .await
+                .expect_err("evicted");
             assert_eq!(err, ExchangeError::PeerGone { map: 0, part: 0 });
         });
         sim.run().expect("sim ok");
@@ -464,12 +480,13 @@ mod tests {
         };
         let ex = Arc::new(DirectExchange::new(cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 2);
-            ex2.prepare(ctx, 1, 1).expect("prepare");
+            ex2.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_partition_async(&mut ctx, &env, 0, 0)
+                .await
                 .expect_err("nobody wrote");
             assert_eq!(err, ExchangeError::PeerTimeout { map: 0, part: 0 });
             // Two attempts, each waiting out the rendezvous window.
@@ -485,19 +502,23 @@ mod tests {
         let ex = Arc::new(DirectExchange::new(DirectConfig::default()));
         let writer = Arc::clone(&ex);
         let reader = Arc::clone(&ex);
-        sim.spawn("writer", move |ctx| {
+        sim.spawn_task("writer", move |mut ctx| async move {
             let env = ExchangeEnv::driver("w", 3);
-            writer.prepare(ctx, 1, 1).expect("prepare");
-            ctx.sleep(SimDuration::from_secs(2));
+            writer.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
+            ctx.sleep_async(SimDuration::from_secs(2)).await;
             writer
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("late")])
+                .write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("late")])
+                .await
                 .expect("write");
         });
-        sim.spawn("reader", move |ctx| {
+        sim.spawn_task("reader", move |mut ctx| async move {
             // Starts before the writer has registered anything.
-            ctx.sleep(SimDuration::from_millis(10));
+            ctx.sleep_async(SimDuration::from_millis(10)).await;
             let env = ExchangeEnv::driver("r", 3);
-            let data = reader.read_partition(ctx, &env, 0, 0).expect("read");
+            let data = reader
+                .read_partition_async(&mut ctx, &env, 0, 0)
+                .await
+                .expect("read");
             assert_eq!(data, Bytes::from("late"));
         });
         sim.run().expect("sim ok");
@@ -512,16 +533,19 @@ mod tests {
         };
         let ex = Arc::new(DirectExchange::new(cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 20);
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare_async(&mut ctx, 4, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                ex2.write_partitions_async(&mut ctx, &env, m, parts)
+                    .await
+                    .expect("write");
             }
             for m in 0..4usize {
                 for j in 0..4usize {
-                    ex2.read_partition(ctx, &env, m, j)
+                    ex2.read_partition_async(&mut ctx, &env, m, j)
+                        .await
                         .expect("reads survive 40% injected timeouts");
                 }
             }

@@ -635,24 +635,30 @@ mod tests {
             layout,
         ));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
             for m in 0..2usize {
                 let parts = vec![
                     Bytes::from(format!("m{}p0", m)),
                     Bytes::from(format!("m{}p1", m)),
                 ];
-                let written = ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                let written = ex2
+                    .write_partitions_async(&mut ctx, &env, m, parts)
+                    .await
+                    .expect("write");
                 assert_eq!(written, 8);
             }
             for m in 0..2usize {
                 for j in 0..2usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).expect("read");
+                    let data = ex2
+                        .read_partition_async(&mut ctx, &env, m, j)
+                        .await
+                        .expect("read");
                     assert_eq!(data, Bytes::from(format!("m{}p{}", m, j)));
                 }
             }
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let keys = store.keys_untimed("data", "part/");
@@ -693,13 +699,17 @@ mod tests {
             ExchangeStrategy::Coalesced,
         ));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 1, 2).expect("prepare");
-            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("xy"), Bytes::new()])
+            ex2.prepare_async(&mut ctx, 1, 2).await.expect("prepare");
+            ex2.write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("xy"), Bytes::new()])
+                .await
                 .expect("write");
             let before = store.metrics().total().class_b;
-            let data = ex2.read_partition(ctx, &env, 0, 1).expect("read empty");
+            let data = ex2
+                .read_partition_async(&mut ctx, &env, 0, 1)
+                .await
+                .expect("read empty");
             assert!(data.is_empty());
             assert_eq!(store.metrics().total().class_b, before, "no GET issued");
         });
@@ -717,10 +727,13 @@ mod tests {
             "part/",
             ExchangeStrategy::Coalesced,
         );
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex.prepare(ctx, 1, 1).expect("prepare");
-            let err = ex.read_partition(ctx, &env, 0, 0).expect_err("missing");
+            ex.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
+            let err = ex
+                .read_partition_async(&mut ctx, &env, 0, 0)
+                .await
+                .expect_err("missing");
             assert_eq!(err, ExchangeError::MissingPartition { map: 0, part: 0 });
         });
         sim.run().expect("sim ok");
@@ -748,10 +761,10 @@ mod tests {
                 layout,
             ));
             let (d2, s2) = (Arc::clone(&dense), Arc::clone(&sparse));
-            sim.spawn("driver", move |ctx| {
+            sim.spawn_task("driver", move |mut ctx| async move {
                 let env = ExchangeEnv::driver("test", 3);
-                d2.prepare(ctx, 1, 4).expect("prepare");
-                s2.prepare(ctx, 1, 4).expect("prepare");
+                d2.prepare_async(&mut ctx, 1, 4).await.expect("prepare");
+                s2.prepare_async(&mut ctx, 1, 4).await.expect("prepare");
                 // Partitions 1 and 3 empty — the sparse-cut case.
                 let parts = vec![
                     Bytes::from("aa"),
@@ -760,15 +773,25 @@ mod tests {
                     Bytes::new(),
                 ];
                 let w_dense = d2
-                    .write_partitions(ctx, &env, 0, parts.clone())
+                    .write_partitions_async(&mut ctx, &env, 0, parts.clone())
+                    .await
                     .expect("dense write");
                 let run = Bytes::from("aacccc");
                 let cuts = vec![(0u32, 0u64, 2u64), (2, 2, 4)];
-                let w_sparse = s2.write_run(ctx, &env, 0, run, cuts, 4).expect("run write");
+                let w_sparse = s2
+                    .write_run_async(&mut ctx, &env, 0, run, cuts, 4)
+                    .await
+                    .expect("run write");
                 assert_eq!(w_dense, w_sparse);
                 for (j, want) in parts.iter().enumerate() {
-                    let a = d2.read_partition(ctx, &env, 0, j).expect("dense read");
-                    let b = s2.read_partition(ctx, &env, 0, j).expect("sparse read");
+                    let a = d2
+                        .read_partition_async(&mut ctx, &env, 0, j)
+                        .await
+                        .expect("dense read");
+                    let b = s2
+                        .read_partition_async(&mut ctx, &env, 0, j)
+                        .await
+                        .expect("sparse read");
                     assert_eq!(a, b, "layout {:?} part {}", layout, j);
                     assert_eq!(&a, want);
                 }
@@ -796,23 +819,38 @@ mod tests {
             ExchangeStrategy::Coalesced,
         ));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 3, 2).expect("prepare");
-            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("a0"), Bytes::new()])
+            ex2.prepare_async(&mut ctx, 3, 2).await.expect("prepare");
+            ex2.write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("a0"), Bytes::new()])
+                .await
                 .expect("write");
-            ex2.write_partitions(ctx, &env, 1, vec![Bytes::new(), Bytes::from("b1")])
+            ex2.write_partitions_async(&mut ctx, &env, 1, vec![Bytes::new(), Bytes::from("b1")])
+                .await
                 .expect("write");
-            ex2.write_partitions(ctx, &env, 2, vec![Bytes::from("c0"), Bytes::from("c1")])
-                .expect("write");
-            let col0 = ex2.read_gather(ctx, &env, 3, 0).expect("gather 0");
+            ex2.write_partitions_async(
+                &mut ctx,
+                &env,
+                2,
+                vec![Bytes::from("c0"), Bytes::from("c1")],
+            )
+            .await
+            .expect("write");
+            let col0 = ex2
+                .read_gather_async(&mut ctx, &env, 3, 0)
+                .await
+                .expect("gather 0");
             assert_eq!(col0, vec![Bytes::from("a0"), Bytes::from("c0")]);
-            let col1 = ex2.read_gather(ctx, &env, 3, 1).expect("gather 1");
+            let col1 = ex2
+                .read_gather_async(&mut ctx, &env, 3, 1)
+                .await
+                .expect("gather 1");
             assert_eq!(col1, vec![Bytes::from("b1"), Bytes::from("c1")]);
             // Asking for more mappers than ever wrote is a loud error,
             // exactly like the dense batch read.
             let err = ex2
-                .read_gather(ctx, &env, 4, 0)
+                .read_gather_async(&mut ctx, &env, 4, 0)
+                .await
                 .expect_err("missing mapper");
             assert_eq!(err, ExchangeError::MissingPartition { map: 3, part: 0 });
         });
@@ -830,12 +868,13 @@ mod tests {
             "part/",
             ExchangeStrategy::Scatter,
         );
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex.prepare(ctx, 1, 1).expect("prepare");
-            ex.write_partitions(ctx, &env, 0, vec![Bytes::from("a")])
+            ex.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
+            ex.write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("a")])
+                .await
                 .expect("write");
-            let keys = ex.list(ctx, &env).expect("list");
+            let keys = ex.list_async(&mut ctx, &env).await.expect("list");
             assert_eq!(keys, vec!["part/00000/00000"]);
         });
         sim.run().expect("sim ok");

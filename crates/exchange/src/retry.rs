@@ -93,13 +93,14 @@ mod tests {
     #[test]
     fn gives_up_after_attempts_and_sleeps_between_them() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn_task("p", |mut ctx| async move {
             let mut calls = 0;
             let before = ctx.now();
-            let result: Result<(), StoreError> = with_retry(ctx, 3, |_| {
+            let result: Result<(), StoreError> = with_retry_async(&mut ctx, 3, async |_| {
                 calls += 1;
                 Err(StoreError::Injected { op: "GET" })
-            });
+            })
+            .await;
             assert!(result.is_err());
             assert_eq!(calls, 3);
             // Two backoff sleeps happened: at least BASE/2 each.
@@ -112,16 +113,17 @@ mod tests {
     #[test]
     fn non_retryable_errors_do_not_retry() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn_task("p", |mut ctx| async move {
             let mut calls = 0;
             let before = ctx.now();
-            let result: Result<(), StoreError> = with_retry(ctx, 5, |_| {
+            let result: Result<(), StoreError> = with_retry_async(&mut ctx, 5, async |_| {
                 calls += 1;
                 Err(StoreError::NoSuchKey {
                     bucket: "b".into(),
                     key: "k".into(),
                 })
-            });
+            })
+            .await;
             assert!(result.is_err());
             assert_eq!(calls, 1);
             assert_eq!(ctx.now(), before, "no backoff for terminal errors");
@@ -132,9 +134,9 @@ mod tests {
     #[test]
     fn success_is_immediate_and_free() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn_task("p", |mut ctx| async move {
             let before = ctx.now();
-            let v: Result<u32, StoreError> = with_retry(ctx, 3, |_| Ok(42));
+            let v: Result<u32, StoreError> = with_retry_async(&mut ctx, 3, async |_| Ok(42)).await;
             assert_eq!(v.unwrap(), 42);
             assert_eq!(ctx.now(), before);
         });
@@ -144,13 +146,13 @@ mod tests {
     #[test]
     fn backoff_grows_exponentially_until_capped() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn_task("p", |mut ctx| async move {
             // Jitter is in [0.5, 1.5), so bounds are deterministic.
-            let b0 = backoff(ctx, 0);
+            let b0 = backoff(&mut ctx, 0);
             assert!(b0 >= SimDuration::from_millis(5) && b0 < SimDuration::from_millis(15));
-            let b4 = backoff(ctx, 4);
+            let b4 = backoff(&mut ctx, 4);
             assert!(b4 >= SimDuration::from_millis(80) && b4 < SimDuration::from_millis(240));
-            let huge = backoff(ctx, 40);
+            let huge = backoff(&mut ctx, 40);
             assert!(huge < SimDuration::from_millis(7_500), "cap applies");
         });
         sim.run().expect("sim ok");

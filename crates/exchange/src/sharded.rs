@@ -293,9 +293,9 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(ShardedRelayExchange::new(fleet.clone(), config(4, false)));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare_async(&mut ctx, 4, 4).await.expect("prepare");
             assert_eq!(
                 ctx.now().as_secs_f64(),
                 44.0,
@@ -305,16 +305,24 @@ mod tests {
                 let parts = (0..4)
                     .map(|j| Bytes::from(vec![(m * 4 + j) as u8; 64]))
                     .collect();
-                ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                ex2.write_partitions_async(&mut ctx, &env, m, parts)
+                    .await
+                    .expect("write");
             }
-            assert_eq!(ex2.list(ctx, &env).expect("list").len(), 16);
+            assert_eq!(
+                ex2.list_async(&mut ctx, &env).await.expect("list").len(),
+                16
+            );
             for m in 0..4usize {
                 for j in 0..4usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).expect("read");
+                    let data = ex2
+                        .read_partition_async(&mut ctx, &env, m, j)
+                        .await
+                        .expect("read");
                     assert_eq!(data, Bytes::from(vec![(m * 4 + j) as u8; 64]));
                 }
             }
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let records = fleet.records();
@@ -331,22 +339,23 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(ShardedRelayExchange::new(fleet.clone(), config(2, true)));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
             assert_eq!(
                 ctx.now().as_secs_f64(),
                 0.0,
                 "prewarmed prepare must not block"
             );
             // 10 s of "sample phase" overlap the 44 s boots...
-            ctx.sleep(SimDuration::from_secs(10));
-            ex2.write_partitions(
-                ctx,
+            ctx.sleep_async(SimDuration::from_secs(10)).await;
+            ex2.write_partitions_async(
+                &mut ctx,
                 &env,
                 0,
                 vec![Bytes::from_static(b"x"), Bytes::from_static(b"y")],
             )
+            .await
             .expect("write");
             // ...so the first request blocks only for the residual 34 s.
             assert!(
@@ -357,7 +366,7 @@ mod tests {
                 ctx.now().as_secs_f64() < 45.0,
                 "but not pay the provisioning delay again"
             );
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         assert_eq!(fleet.records().len(), 2);
@@ -374,18 +383,19 @@ mod tests {
             ShardedRelayExchange::new(fleet.clone(), config(2, true)).with_trace(sink.clone()),
         );
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
-            ctx.sleep(SimDuration::from_secs(10));
-            ex2.write_partitions(
-                ctx,
+            ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
+            ctx.sleep_async(SimDuration::from_secs(10)).await;
+            ex2.write_partitions_async(
+                &mut ctx,
                 &env,
                 0,
                 vec![Bytes::from_static(b"x"), Bytes::from_static(b"y")],
             )
+            .await
             .expect("write");
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let data = sink.snapshot();
@@ -421,11 +431,11 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(ShardedRelayExchange::new(fleet.clone(), config(3, true)));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
             // Tear down while every boot is still in flight.
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "cleanup waits out the boots");
         });
         sim.run().expect("sim ok");
@@ -454,19 +464,17 @@ mod tests {
         let outcome: Arc<Mutex<(usize, usize)>> = Arc::new(Mutex::new((0, 0)));
         let out2 = Arc::clone(&outcome);
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 1);
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare_async(&mut ctx, 4, 4).await.expect("prepare");
             let (mut ok, mut down) = (0usize, 0usize);
             for m in 0..4usize {
                 for j in 0..4usize {
-                    match faaspipe_des::run_blocking(ex2.route(m, j).put_part(
-                        ctx,
-                        &env,
-                        m,
-                        j,
-                        &Bytes::from_static(b"z"),
-                    )) {
+                    match ex2
+                        .route(m, j)
+                        .put_part(&mut ctx, &env, m, j, &Bytes::from_static(b"z"))
+                        .await
+                    {
                         Ok(()) => ok += 1,
                         Err(ExchangeError::RelayDown { .. }) => down += 1,
                         Err(e) => panic!("unexpected error: {:?}", e),

@@ -741,17 +741,20 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(VmRelayExchange::new(fleet.clone(), RelayConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "provisioning charged");
             for m in 0..2usize {
                 let parts = vec![Bytes::from(vec![m as u8; 100]), Bytes::from(vec![0u8; 50])];
-                let written = ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                let written = ex2
+                    .write_partitions_async(&mut ctx, &env, m, parts)
+                    .await
+                    .expect("write");
                 assert_eq!(written, 150);
             }
             assert_eq!(
-                ex2.list(ctx, &env).expect("list"),
+                ex2.list_async(&mut ctx, &env).await.expect("list"),
                 vec![
                     "relay/00000/00000",
                     "relay/00000/00001",
@@ -759,9 +762,12 @@ mod tests {
                     "relay/00001/00001"
                 ]
             );
-            let data = ex2.read_partition(ctx, &env, 1, 0).expect("read");
+            let data = ex2
+                .read_partition_async(&mut ctx, &env, 1, 0)
+                .await
+                .expect("read");
             assert_eq!(data, Bytes::from(vec![1u8; 100]));
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let records = fleet.records();
@@ -780,8 +786,8 @@ mod tests {
         let ex = Arc::new(VmRelayExchange::new(fleet.clone(), RelayConfig::default()));
         for name in ["worker-a", "worker-b"] {
             let ex2 = Arc::clone(&ex);
-            sim.spawn(name, move |ctx| {
-                ex2.prepare(ctx, 2, 2).expect("prepare");
+            sim.spawn_task(name, move |mut ctx| async move {
+                ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
                 assert_eq!(
                     ctx.now().as_secs_f64(),
                     44.0,
@@ -806,27 +812,40 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            let err = ex2.list(ctx, &env).expect_err("list before prepare");
+            let err = ex2
+                .list_async(&mut ctx, &env)
+                .await
+                .expect_err("list before prepare");
             assert_eq!(
                 err,
                 ExchangeError::NotPrepared {
                     backend: "vm-relay"
                 }
             );
-            ex2.prepare(ctx, 1, 1).expect("prepare");
-            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+            ex2.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
+            ex2.write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect("request 1");
-            assert_eq!(ex2.list(ctx, &env).expect("request 2").len(), 1);
-            let err = ex2.list(ctx, &env).expect_err("request 3 trips the crash");
+            assert_eq!(
+                ex2.list_async(&mut ctx, &env)
+                    .await
+                    .expect("request 2")
+                    .len(),
+                1
+            );
+            let err = ex2
+                .list_async(&mut ctx, &env)
+                .await
+                .expect_err("request 3 trips the crash");
             assert_eq!(err, ExchangeError::RelayDown { op: "LIST" });
         });
         sim.run().expect("sim ok");
     }
 
     /// Regression (lifecycle bug 3): failure paths in the request
-    /// overhead used to return before `ctx.sleep(request_latency)`, so
+    /// overhead used to return before `ctx.sleep_async(request_latency).await`, so
     /// retry storms against a crashed (or never-prepared) relay cost
     /// nothing in virtual time. A caller must pay the round-trip before
     /// observing the failure.
@@ -841,12 +860,13 @@ mod tests {
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let unprepared = Arc::new(VmRelayExchange::new(VmFleet::new(), RelayConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 1);
-            ex2.prepare(ctx, 1, 1).expect("prepare");
+            ex2.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_partition_async(&mut ctx, &env, 0, 0)
+                .await
                 .expect_err("first request crashes the relay");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
@@ -858,7 +878,8 @@ mod tests {
             );
             let before = ctx.now();
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_partition_async(&mut ctx, &env, 0, 0)
+                .await
                 .expect_err("relay stays down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
@@ -871,7 +892,8 @@ mod tests {
             // NotPrepared pays the round-trip too.
             let before = ctx.now();
             unprepared
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect_err("not prepared");
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
             assert!(
@@ -896,14 +918,17 @@ mod tests {
             let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
             let out2 = Arc::clone(&out);
             let ex2 = Arc::clone(&ex);
-            sim.spawn("driver", move |ctx| {
+            sim.spawn_task("driver", move |mut ctx| async move {
                 let env = driver_env();
-                ex2.prepare(ctx, 1, 1).expect("prepare");
+                ex2.prepare_async(&mut ctx, 1, 1).await.expect("prepare");
                 let blob = Bytes::from(vec![7u8; 8 * 1024 * 1024]);
-                ex2.write_partitions(ctx, &env, 0, vec![blob])
+                ex2.write_partitions_async(&mut ctx, &env, 0, vec![blob])
+                    .await
                     .expect("write");
                 let before = ctx.now();
-                ex2.read_partition(ctx, &env, 0, 0).expect("read");
+                ex2.read_partition_async(&mut ctx, &env, 0, 0)
+                    .await
+                    .expect("read");
                 *out2.lock() = ctx.now().saturating_duration_since(before).as_secs_f64();
             });
             sim.run().expect("sim ok");
@@ -934,28 +959,29 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(ctx, 1, 2).expect("prepare");
-            let put = |ctx: &mut Ctx, part: usize, len: usize| {
-                let env = driver_env();
+            ex2.prepare_async(&mut ctx, 1, 2).await.expect("prepare");
+            let shard = &ex2.shard;
+            let put = async |ctx: &mut Ctx, part: usize, len: usize| {
                 let data = Bytes::from(vec![9u8; len]);
-                faaspipe_des::run_blocking(ex2.shard.put_part(ctx, &env, 0, part, &data))
+                shard
+                    .put_part(ctx, &env, 0, part, &data)
+                    .await
                     .expect("put");
             };
-            let _ = env;
-            put(ctx, 0, 100); // fills memory exactly
+            put(&mut ctx, 0, 100).await; // fills memory exactly
             assert_eq!(ex2.shard.mem_used(), 100);
             assert_eq!(ex2.shard.is_spilled(0, 0), Some(false));
-            put(ctx, 1, 80); // over capacity → disk
+            put(&mut ctx, 1, 80).await; // over capacity → disk
             assert_eq!(ex2.shard.mem_used(), 100, "spill leaves memory untouched");
             assert_eq!(ex2.shard.is_spilled(0, 1), Some(true));
-            put(ctx, 1, 80); // overwrite of the spilled copy
+            put(&mut ctx, 1, 80).await; // overwrite of the spilled copy
             assert_eq!(ex2.shard.mem_used(), 100, "no double-free of spilled bytes");
             assert_eq!(ex2.shard.is_spilled(0, 1), Some(true));
-            put(ctx, 0, 60); // resident overwrite shrinks the ledger
+            put(&mut ctx, 0, 60).await; // resident overwrite shrinks the ledger
             assert_eq!(ex2.shard.mem_used(), 60);
-            put(ctx, 1, 40); // now fits: the spilled key comes back resident
+            put(&mut ctx, 1, 40).await; // now fits: the spilled key comes back resident
             assert_eq!(ex2.shard.mem_used(), 100);
             assert_eq!(ex2.shard.is_spilled(0, 1), Some(false));
             assert_eq!(ex2.shard.object_count(), 2);
@@ -977,19 +1003,21 @@ mod tests {
         let sink = TraceSink::recording();
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg).with_trace(sink.clone()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare_async(&mut ctx, 2, 2).await.expect("prepare");
             for round in 0..3usize {
                 for m in 0..2usize {
                     let parts = vec![
                         Bytes::from(vec![round as u8; 40]),
                         Bytes::from(vec![round as u8; 35]),
                     ];
-                    ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                    ex2.write_partitions_async(&mut ctx, &env, m, parts)
+                        .await
+                        .expect("write");
                 }
             }
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup_async(&mut ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let data = sink.snapshot();
@@ -1014,17 +1042,19 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 20);
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare_async(&mut ctx, 4, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(ctx, &env, m, parts)
+                ex2.write_partitions_async(&mut ctx, &env, m, parts)
+                    .await
                     .expect("writes survive 30% faults");
             }
             for m in 0..4usize {
                 for j in 0..4usize {
-                    ex2.read_partition(ctx, &env, m, j)
+                    ex2.read_partition_async(&mut ctx, &env, m, j)
+                        .await
                         .expect("reads survive 30% faults");
                 }
             }
@@ -1041,16 +1071,20 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 5);
-            ex2.prepare(ctx, 1, 4).expect("prepare");
+            ex2.prepare_async(&mut ctx, 1, 4).await.expect("prepare");
             let parts = (0..4).map(|_| Bytes::from(vec![1u8; 16])).collect();
             let err = ex2
-                .write_partitions(ctx, &env, 0, parts)
+                .write_partitions_async(&mut ctx, &env, 0, parts)
+                .await
                 .expect_err("crash kills the exchange");
             assert_eq!(err, ExchangeError::RelayDown { op: "PUT" });
             // Retries cannot resurrect a dead relay.
-            let err = ex2.read_partition(ctx, &env, 0, 0).expect_err("still down");
+            let err = ex2
+                .read_partition_async(&mut ctx, &env, 0, 0)
+                .await
+                .expect_err("still down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
         });
         sim.run().expect("sim ok");
@@ -1061,10 +1095,11 @@ mod tests {
         let mut sim = Sim::new();
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), RelayConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let env = driver_env();
             let err = ex2
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .write_partitions_async(&mut ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect_err("not prepared");
             assert_eq!(
                 err,

@@ -474,13 +474,28 @@ impl FunctionPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faaspipe_des::{Sim, SimDuration};
+    use faaspipe_des::{JoinError, Sim, SimDuration};
     use std::sync::Mutex as StdMutex;
 
     fn platform_sim(cfg: FaasConfig) -> (Sim, Arc<FunctionPlatform>) {
         let mut sim = Sim::new();
         let faas = FunctionPlatform::install(&mut sim, cfg);
         (sim, faas)
+    }
+
+    /// Invokes `function` and waits for it to return.
+    async fn call<F>(
+        p: &Arc<FunctionPlatform>,
+        ctx: &Ctx,
+        function: &str,
+        tag: &str,
+        body: F,
+    ) -> Result<(), JoinError>
+    where
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+    {
+        let h = p.invoke_task(ctx, function, tag, body).await;
+        ctx.join_async(h).await
     }
 
     #[test]
@@ -492,9 +507,12 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, env| assert!(env.cold)).unwrap();
-            p.invoke(ctx, "f", "b", |_, env| assert!(!env.cold))
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "a", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
+            call(&p, &ctx, "f", "b", async |_, env| assert!(!env.cold))
+                .await
                 .unwrap();
         });
         sim.run().expect("run");
@@ -518,10 +536,12 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, _| {}).unwrap();
-            ctx.sleep(SimDuration::from_secs(5));
-            p.invoke(ctx, "f", "b", |_, env| assert!(env.cold)).unwrap();
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "a", async |_, _| {}).await.unwrap();
+            ctx.sleep_async(SimDuration::from_secs(5)).await;
+            call(&p, &ctx, "f", "b", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
         assert!(faas.records().iter().all(|r| r.cold));
@@ -531,15 +551,17 @@ mod tests {
     fn parallel_invocations_reuse_separate_containers() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let hs: Vec<_> = (0..4)
-                .map(|i| {
-                    p.invoke_async(ctx, "f", format!("t{}", i), |fctx, env| {
-                        env.compute(fctx, SimDuration::from_secs(1));
+        sim.spawn_task("driver", move |ctx| async move {
+            let mut hs = Vec::new();
+            for i in 0..4 {
+                let h = p
+                    .invoke_task(&ctx, "f", format!("t{}", i), async |fctx, env| {
+                        env.compute_async(fctx, SimDuration::from_secs(1)).await;
                     })
-                })
-                .collect();
-            ctx.join_all(&hs).unwrap();
+                    .await;
+                hs.push(h);
+            }
+            ctx.join_all_async(&hs).await.unwrap();
         });
         sim.run().expect("run");
         let recs = faas.records();
@@ -561,17 +583,19 @@ mod tests {
         let p = faas.clone();
         let order = Arc::new(StdMutex::new(Vec::new()));
         let order2 = Arc::clone(&order);
-        sim.spawn("driver", move |ctx| {
-            let hs: Vec<_> = (0..3u64)
-                .map(|i| {
-                    let order = Arc::clone(&order2);
-                    p.invoke_async(ctx, "f", format!("t{}", i), move |fctx, _| {
+        sim.spawn_task("driver", move |ctx| async move {
+            let mut hs = Vec::new();
+            for i in 0..3u64 {
+                let order = Arc::clone(&order2);
+                let h = p
+                    .invoke_task(&ctx, "f", format!("t{}", i), async move |fctx, _| {
                         order.lock().unwrap().push((i, fctx.now().as_secs_f64()));
-                        fctx.sleep(SimDuration::from_secs(1));
+                        fctx.sleep_async(SimDuration::from_secs(1)).await;
                     })
-                })
-                .collect();
-            ctx.join_all(&hs).unwrap();
+                    .await;
+                hs.push(h);
+            }
+            ctx.join_all_async(&hs).await.unwrap();
         });
         sim.run().expect("run");
         let order = order.lock().unwrap();
@@ -586,13 +610,14 @@ mod tests {
         let cfg = FaasConfig::default().with_memory_mb(1024); // 0.5 vCPU
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t", |fctx, env| {
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "t", async |fctx, env| {
                 let before = fctx.now();
-                env.compute(fctx, SimDuration::from_secs(1));
+                env.compute_async(fctx, SimDuration::from_secs(1)).await;
                 let took = fctx.now().saturating_duration_since(before);
                 assert!((took.as_secs_f64() - 2.0).abs() < 1e-9);
             })
+            .await
             .unwrap();
         });
         sim.run().expect("run");
@@ -606,10 +631,11 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t", |fctx, _| {
-                fctx.sleep(SimDuration::from_secs(2))
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "t", async |fctx, _| {
+                fctx.sleep_async(SimDuration::from_secs(2)).await
             })
+            .await
             .unwrap();
         });
         sim.run().expect("run");
@@ -626,8 +652,10 @@ mod tests {
         let cfg = FaasConfig::default().with_failure_rate(1.0);
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let err = p.invoke(ctx, "f", "t", |_, _| {}).expect_err("must crash");
+        sim.spawn_task("driver", move |ctx| async move {
+            let err = call(&p, &ctx, "f", "t", async |_, _| {})
+                .await
+                .expect_err("must crash");
             assert!(err.message.contains("injected invocation failure"));
         });
         sim.run().expect("observed failure is fine");
@@ -646,26 +674,26 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let _ = p.invoke(ctx, "f", "a", |_, _| {});
-            let _ = p.invoke(ctx, "f", "b", |_, _| {});
+        sim.spawn_task("driver", move |ctx| async move {
+            let _ = call(&p, &ctx, "f", "a", async |_, _| {}).await;
+            let _ = call(&p, &ctx, "f", "b", async |_, _| {}).await;
         });
         sim.run().expect("run");
     }
 
     #[test]
     fn warm_container_reuses_its_nic_link() {
-        use std::sync::Mutex as StdMutex;
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
         let nics = Arc::new(StdMutex::new(Vec::new()));
         let nics2 = Arc::clone(&nics);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |ctx| async move {
             for _ in 0..2 {
                 let nics = Arc::clone(&nics2);
-                p.invoke(ctx, "f", "t", move |_, env| {
+                call(&p, &ctx, "f", "t", async move |_, env| {
                     nics.lock().unwrap().push(env.nic);
                 })
+                .await
                 .unwrap();
             }
         });
@@ -678,8 +706,10 @@ mod tests {
     fn records_carry_function_and_tag() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "mapper", "sort/map", |_, _| {}).unwrap();
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "mapper", "sort/map", async |_, _| {})
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
         let recs = faas.records();
@@ -699,13 +729,15 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let err = p
-                .invoke(ctx, "f", "a", |_, _| panic!("body exploded"))
+        sim.spawn_task("driver", move |ctx| async move {
+            let err = call(&p, &ctx, "f", "a", async |_, _| panic!("body exploded"))
+                .await
                 .expect_err("crash observed");
             assert!(err.message.contains("body exploded"));
             // Slot free again and the crashed container is gone -> cold.
-            p.invoke(ctx, "f", "b", |_, env| assert!(env.cold)).unwrap();
+            call(&p, &ctx, "f", "b", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
         assert_eq!(faas.warm_count("f"), 1, "only the healthy container parked");
@@ -721,10 +753,11 @@ mod tests {
         let sink = TraceSink::recording();
         faas.set_trace_sink(sink.clone());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t", |fctx, env| {
-                env.compute(fctx, SimDuration::from_secs(1));
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "t", async |fctx, env| {
+                env.compute_async(fctx, SimDuration::from_secs(1)).await;
             })
+            .await
             .unwrap();
         });
         sim.run().expect("run");
@@ -762,18 +795,28 @@ mod tests {
         let cfg = FaasConfig::default().with_tenant_scoped_pool(true);
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t0/r0/sort/map", |_, env| assert!(env.cold))
-                .unwrap();
-            p.invoke(ctx, "f", "t1/r0/sort/map", |_, env| {
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "t0/r0/sort/map", async |_, env| {
+                assert!(env.cold)
+            })
+            .await
+            .unwrap();
+            call(&p, &ctx, "f", "t1/r0/sort/map", async |_, env| {
                 assert!(env.cold, "a tenant must not claim another's container")
             })
+            .await
             .unwrap();
             // Each tenant's own second claim is warm.
-            p.invoke(ctx, "f", "t0/r1/sort/map", |_, env| assert!(!env.cold))
-                .unwrap();
-            p.invoke(ctx, "f", "t1/r1/sort/map", |_, env| assert!(!env.cold))
-                .unwrap();
+            call(&p, &ctx, "f", "t0/r1/sort/map", async |_, env| {
+                assert!(!env.cold)
+            })
+            .await
+            .unwrap();
+            call(&p, &ctx, "f", "t1/r1/sort/map", async |_, env| {
+                assert!(!env.cold)
+            })
+            .await
+            .unwrap();
         });
         sim.run().expect("run");
         assert_eq!(faas.warm_count_scoped("t0", "f"), 1);
@@ -793,13 +836,13 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, _| {}).unwrap();
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "a", async |_, _| {}).await.unwrap();
             assert_eq!(p.warm_count("f"), 1);
-            ctx.sleep(SimDuration::from_secs(5));
+            ctx.sleep_async(SimDuration::from_secs(5)).await;
             // A *different* function's claim happens after "f"'s
             // container expired; the expired container must be gone.
-            p.invoke(ctx, "g", "b", |_, _| {}).unwrap();
+            call(&p, &ctx, "g", "b", async |_, _| {}).await.unwrap();
             assert_eq!(
                 p.warm_count("f"),
                 0,
@@ -813,10 +856,12 @@ mod tests {
     fn flush_pool_forces_cold_again() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, _| {}).unwrap();
+        sim.spawn_task("driver", move |ctx| async move {
+            call(&p, &ctx, "f", "a", async |_, _| {}).await.unwrap();
             p.flush_pool();
-            p.invoke(ctx, "f", "b", |_, env| assert!(env.cold)).unwrap();
+            call(&p, &ctx, "f", "b", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
     }

@@ -473,8 +473,10 @@ mod tests {
         let out: Arc<Mutex<Option<Autotuner>>> = Arc::new(Mutex::new(None));
         let out2 = Arc::clone(&out);
         let store2 = Arc::clone(&store);
-        sim.spawn("prober", move |ctx| {
-            let tuner = Autotuner::probe(ctx, &store2, "data").expect("probe");
+        sim.spawn_task("prober", move |mut ctx| async move {
+            let tuner = Autotuner::probe_async(&mut ctx, &store2, "data")
+                .await
+                .expect("probe");
             *out2.lock() = Some(tuner);
         });
         sim.run().expect("sim ok");

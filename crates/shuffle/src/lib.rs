@@ -42,7 +42,8 @@ pub use error::ShuffleError;
 // Re-exported so downstream callers keep their `faaspipe_shuffle::{...}`
 // paths after the exchange machinery moved into its own crate.
 pub use faaspipe_exchange::{
-    with_retry, DataExchange, ExchangeEnv, ExchangeError, ExchangeKind, ExchangeStrategy,
+    with_retry, with_retry_async, DataExchange, ExchangeEnv, ExchangeError, ExchangeKind,
+    ExchangeStrategy,
 };
 pub use kernel::{partition_sorted, scan_keys, sort_concat};
 pub use partitioner::RangePartitioner;

@@ -99,13 +99,13 @@ impl SortManifest {
     ///
     /// # Errors
     /// Store failures, or [`ShuffleError::Corrupt`] for non-manifest data.
-    pub fn read(
+    pub async fn read(
         ctx: &mut Ctx,
         client: &StoreClient,
         bucket: &str,
         key: &str,
     ) -> Result<SortManifest, ShuffleError> {
-        let data = client.get(ctx, bucket, key)?;
+        let data = client.get_async(ctx, bucket, key).await?;
         SortManifest::from_bytes(&data)
     }
 }
@@ -161,13 +161,16 @@ mod tests {
         let got: Arc<Mutex<Option<SortManifest>>> = Arc::new(Mutex::new(None));
         let got2 = Arc::clone(&got);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            let client = store2.connect(ctx, "manifest");
+        sim.spawn_task("driver", move |mut ctx| async move {
+            let client = store2.connect_async(&ctx, "manifest").await;
             let m = sample();
-            m.write(ctx, &client, "data", "out/_manifest.json")
+            m.write_async(&mut ctx, &client, "data", "out/_manifest.json")
+                .await
                 .expect("write");
-            *got2.lock() =
-                Some(SortManifest::read(ctx, &client, "data", "out/_manifest.json").expect("read"));
+            let back = SortManifest::read(&mut ctx, &client, "data", "out/_manifest.json")
+                .await
+                .expect("read");
+            *got2.lock() = Some(back);
         });
         sim.run().expect("sim ok");
         assert_eq!(got.lock().take().expect("read back"), sample());

@@ -903,12 +903,13 @@ mod tests {
         let per = values.len().div_ceil(chunks);
         let store = Arc::clone(store);
         let values = values.to_vec();
-        sim.spawn("uploader", move |ctx| {
-            let client = store.connect(ctx, "upload");
+        sim.spawn_task("uploader", move |mut ctx| async move {
+            let client = store.connect_async(&ctx, "upload").await;
             for (i, chunk) in values.chunks(per).enumerate() {
                 let data = SortRecord::write_all(chunk);
                 client
-                    .put(ctx, "data", &format!("in/{:04}", i), Bytes::from(data))
+                    .put_async(&mut ctx, "data", &format!("in/{:04}", i), Bytes::from(data))
+                    .await
                     .expect("upload");
             }
         });
@@ -926,19 +927,24 @@ mod tests {
         let result: Arc<Mutex<Option<(Vec<u64>, SortStats)>>> = Arc::new(Mutex::new(None));
         let store2 = Arc::clone(&store);
         let result2 = Arc::clone(&result);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             // Let the uploader finish first.
-            ctx.sleep(SimDuration::from_secs(120));
+            ctx.sleep_async(SimDuration::from_secs(120)).await;
             let cfg = SortConfig {
                 workers,
                 ..SortConfig::default()
             };
-            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort succeeds");
+            let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+                .await
+                .expect("sort succeeds");
             // Gather all runs in order and check global order.
-            let client = store2.connect(ctx, "verify");
+            let client = store2.connect_async(&ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
+                let data = client
+                    .get_async(&mut ctx, "data", run)
+                    .await
+                    .expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -1020,12 +1026,14 @@ mod tests {
         let store = ObjectStore::install(&mut sim, StoreConfig::default());
         let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
         store.create_bucket("data").expect("bucket");
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let cfg = SortConfig {
                 workers: 0,
                 ..SortConfig::default()
             };
-            let err = serverless_sort::<u64>(ctx, &faas, &store, &cfg).expect_err("bad cfg");
+            let err = serverless_sort_async::<u64>(&mut ctx, &faas, &store, &cfg)
+                .await
+                .expect_err("bad cfg");
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
         });
         sim.run().expect("sim ok");
@@ -1037,8 +1045,9 @@ mod tests {
         let store = ObjectStore::install(&mut sim, StoreConfig::default());
         let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
         store.create_bucket("data").expect("bucket");
-        sim.spawn("driver", move |ctx| {
-            let err = serverless_sort::<u64>(ctx, &faas, &store, &SortConfig::default())
+        sim.spawn_task("driver", move |mut ctx| async move {
+            let err = serverless_sort_async::<u64>(&mut ctx, &faas, &store, &SortConfig::default())
+                .await
                 .expect_err("no inputs");
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
         });
@@ -1057,14 +1066,15 @@ mod tests {
         let ok = Arc::new(Mutex::new(false));
         let ok2 = Arc::clone(&ok);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(300));
+        sim.spawn_task("driver", move |mut ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(300)).await;
             let cfg = SortConfig {
                 workers: 4,
                 retries: 12,
                 ..SortConfig::default()
             };
-            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+            let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+                .await
                 .expect("sort survives 5% faults with retries");
             assert_eq!(stats.output_bytes, 3_000 * 8);
             *ok2.lock() = true;
@@ -1149,16 +1159,19 @@ mod tests {
         let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
         upload_chunks(&mut sim, &store, &values, 4);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(120));
+        sim.spawn_task("driver", move |mut ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(120)).await;
             let cfg = SortConfig {
                 workers: 4,
                 manifest_key: Some("out/_manifest.json".to_string()),
                 ..SortConfig::default()
             };
-            serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
-            let client = store2.connect(ctx, "verify");
-            let manifest = SortManifest::read(ctx, &client, "data", "out/_manifest.json")
+            serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+                .await
+                .expect("sort");
+            let client = store2.connect_async(&ctx, "verify").await;
+            let manifest = SortManifest::read(&mut ctx, &client, "data", "out/_manifest.json")
+                .await
                 .expect("manifest readable");
             assert_eq!(manifest.operator, "serverless");
             assert_eq!(manifest.workers, 4);
@@ -1167,7 +1180,10 @@ mod tests {
             assert_eq!(manifest.output_bytes, 2_000 * 8);
             // Every run the manifest names exists with the declared size.
             for run in &manifest.runs {
-                let data = client.get(ctx, "data", &run.key).expect("run exists");
+                let data = client
+                    .get_async(&mut ctx, "data", &run.key)
+                    .await
+                    .expect("run exists");
                 assert_eq!(data.len() as u64, run.bytes);
             }
         });
@@ -1187,19 +1203,23 @@ mod tests {
         let ok = Arc::new(Mutex::new(false));
         let ok2 = Arc::clone(&ok);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(300));
+        sim.spawn_task("driver", move |mut ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(300)).await;
             let cfg = SortConfig {
                 workers: 4,
                 task_attempts: 12,
                 ..SortConfig::default()
             };
-            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+            let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+                .await
                 .expect("sort survives crashing functions");
-            let client = store2.connect(ctx, "verify");
+            let client = store2.connect_async(&ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
+                let data = client
+                    .get_async(&mut ctx, "data", run)
+                    .await
+                    .expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -1223,14 +1243,15 @@ mod tests {
         let saw = Arc::new(Mutex::new(false));
         let saw2 = Arc::clone(&saw);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(60));
+        sim.spawn_task("driver", move |mut ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(60)).await;
             let cfg = SortConfig {
                 workers: 2,
                 task_attempts: 3,
                 ..SortConfig::default()
             };
-            let err = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+            let err = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+                .await
                 .expect_err("certain crashes must exhaust retries");
             assert!(matches!(
                 err,
@@ -1326,18 +1347,23 @@ mod tests {
         let result: Arc<Mutex<Option<(Vec<u64>, SortStats)>>> = Arc::new(Mutex::new(None));
         let store2 = Arc::clone(&store);
         let result2 = Arc::clone(&result);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(120));
+        sim.spawn_task("driver", move |mut ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(120)).await;
             let cfg = SortConfig {
                 workers: 4,
                 exchange: ExchangeStrategy::Coalesced,
                 ..SortConfig::default()
             };
-            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
-            let client = store2.connect(ctx, "verify");
+            let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+                .await
+                .expect("sort");
+            let client = store2.connect_async(&ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
+                let data = client
+                    .get_async(&mut ctx, "data", run)
+                    .await
+                    .expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -1360,14 +1386,16 @@ mod tests {
             let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
             upload_chunks(&mut sim, &store, &values, 4);
             let store2 = Arc::clone(&store);
-            sim.spawn("driver", move |ctx| {
-                ctx.sleep(SimDuration::from_secs(120));
+            sim.spawn_task("driver", move |mut ctx| async move {
+                ctx.sleep_async(SimDuration::from_secs(120)).await;
                 let cfg = SortConfig {
                     workers: 8,
                     exchange,
                     ..SortConfig::default()
                 };
-                serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
+                serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+                    .await
+                    .expect("sort");
             });
             sim.run().expect("sim ok");
             store.metrics().total().class_a

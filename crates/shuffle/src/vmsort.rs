@@ -246,29 +246,35 @@ mod tests {
         let per = values.len().div_ceil(chunks);
         let store_up = Arc::clone(&store);
         let values2 = values.clone();
-        sim.spawn("uploader", move |ctx| {
-            let client = store_up.connect(ctx, "upload");
+        sim.spawn_task("uploader", move |mut ctx| async move {
+            let client = store_up.connect_async(&ctx, "upload").await;
             for (i, chunk) in values2.chunks(per).enumerate() {
                 let data = SortRecord::write_all(chunk);
                 client
-                    .put(ctx, "data", &format!("in/{:04}", i), Bytes::from(data))
+                    .put_async(&mut ctx, "data", &format!("in/{:04}", i), Bytes::from(data))
+                    .await
                     .expect("upload");
             }
         });
         let result: Arc<Mutex<Option<(Vec<u64>, VmSortStats)>>> = Arc::new(Mutex::new(None));
         let result2 = Arc::clone(&result);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(120));
+        sim.spawn_task("driver", move |mut ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(120)).await;
             let cfg = VmSortConfig {
                 runs,
                 ..VmSortConfig::default()
             };
-            let stats = vm_sort::<u64>(ctx, &fleet, &store2, &cfg).expect("vm sort");
-            let client = store2.connect(ctx, "verify");
+            let stats = vm_sort_async::<u64>(&mut ctx, &fleet, &store2, &cfg)
+                .await
+                .expect("vm sort");
+            let client = store2.connect_async(&ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
+                let data = client
+                    .get_async(&mut ctx, "data", run)
+                    .await
+                    .expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -313,12 +319,14 @@ mod tests {
         let store = ObjectStore::install(&mut sim, StoreConfig::default());
         let fleet = VmFleet::new();
         store.create_bucket("data").expect("bucket");
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let cfg = VmSortConfig {
                 runs: 0,
                 ..VmSortConfig::default()
             };
-            let err = vm_sort::<u64>(ctx, &fleet, &store, &cfg).expect_err("bad cfg");
+            let err = vm_sort_async::<u64>(&mut ctx, &fleet, &store, &cfg)
+                .await
+                .expect_err("bad cfg");
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
         });
         sim.run().expect("sim ok");
@@ -339,15 +347,18 @@ mod tests {
             )
             .expect("stage");
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_task("driver", move |mut ctx| async move {
             let cfg = VmSortConfig {
                 runs: 3,
                 manifest_key: Some("out/_manifest.json".to_string()),
                 ..VmSortConfig::default()
             };
-            vm_sort::<u64>(ctx, &fleet, &store2, &cfg).expect("vm sort");
-            let client = store2.connect(ctx, "verify");
-            let manifest = SortManifest::read(ctx, &client, "data", "out/_manifest.json")
+            vm_sort_async::<u64>(&mut ctx, &fleet, &store2, &cfg)
+                .await
+                .expect("vm sort");
+            let client = store2.connect_async(&ctx, "verify").await;
+            let manifest = SortManifest::read(&mut ctx, &client, "data", "out/_manifest.json")
+                .await
                 .expect("manifest readable");
             assert_eq!(manifest.operator, "vm");
             assert_eq!(manifest.total_records(), 1_500);
@@ -365,18 +376,21 @@ mod tests {
         let values: Vec<u64> = (0..2_000u64).rev().collect();
         let store_up = Arc::clone(&store);
         let v2 = values.clone();
-        sim.spawn("uploader", move |ctx| {
-            let client = store_up.connect(ctx, "upload");
+        sim.spawn_task("uploader", move |mut ctx| async move {
+            let client = store_up.connect_async(&ctx, "upload").await;
             let data = SortRecord::write_all(&v2);
             client
-                .put(ctx, "data", "in/0000", Bytes::from(data))
+                .put_async(&mut ctx, "data", "in/0000", Bytes::from(data))
+                .await
                 .expect("upload");
         });
         let fleet2 = fleet.clone();
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(60));
-            vm_sort::<u64>(ctx, &fleet2, &store2, &VmSortConfig::default()).expect("vm sort");
+        sim.spawn_task("driver", move |mut ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(60)).await;
+            vm_sort_async::<u64>(&mut ctx, &fleet2, &store2, &VmSortConfig::default())
+                .await
+                .expect("vm sort");
         });
         sim.run().expect("sim ok");
         let recs = fleet.records();

@@ -1231,15 +1231,15 @@ mod tests {
     /// store and the end time.
     fn run_with<F>(cfg: StoreConfig, f: F) -> (Arc<ObjectStore>, SimTime)
     where
-        F: FnOnce(&mut Ctx, &StoreClient) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, &StoreClient) + Send + 'static,
     {
         let mut sim = Sim::new();
         let store = ObjectStore::install(&mut sim, cfg);
         store.create_bucket("b").expect("fresh bucket");
         let handle = Arc::clone(&store);
-        sim.spawn("test", move |ctx| {
-            let client = handle.connect(ctx, "test");
-            f(ctx, &client);
+        sim.spawn_task("test", move |mut ctx| async move {
+            let client = handle.connect_async(&ctx, "test").await;
+            f(&mut ctx, &client).await;
         });
         let report = sim.run().expect("sim ok");
         (store, report.end_time)
@@ -1247,10 +1247,13 @@ mod tests {
 
     #[test]
     fn put_get_round_trip() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            let put = c.put(ctx, "b", "k", Bytes::from("payload")).expect("put");
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            let put = c
+                .put_async(ctx, "b", "k", Bytes::from("payload"))
+                .await
+                .expect("put");
             assert_eq!(put.len.as_u64(), 7);
-            let got = c.get(ctx, "b", "k").expect("get");
+            let got = c.get_async(ctx, "b", "k").await.expect("get");
             assert_eq!(&got[..], b"payload");
         });
         assert_eq!(store.object_count("b"), 1);
@@ -1258,34 +1261,43 @@ mod tests {
 
     #[test]
     fn get_missing_key_fails() {
-        run_with(quiet_config(), |ctx, c| {
-            let err = c.get(ctx, "b", "nope").expect_err("missing");
+        run_with(quiet_config(), async |ctx, c| {
+            let err = c.get_async(ctx, "b", "nope").await.expect_err("missing");
             assert!(matches!(err, StoreError::NoSuchKey { .. }));
-            let err = c.get(ctx, "nobucket", "k").expect_err("missing bucket");
+            let err = c
+                .get_async(ctx, "nobucket", "k")
+                .await
+                .expect_err("missing bucket");
             assert!(matches!(err, StoreError::NoSuchBucket { .. }));
         });
     }
 
     #[test]
     fn put_overwrites() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("one")).expect("put");
-            c.put(ctx, "b", "k", Bytes::from("two")).expect("put");
-            assert_eq!(&c.get(ctx, "b", "k").expect("get")[..], b"two");
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from("one"))
+                .await
+                .expect("put");
+            c.put_async(ctx, "b", "k", Bytes::from("two"))
+                .await
+                .expect("put");
+            assert_eq!(&c.get_async(ctx, "b", "k").await.expect("get")[..], b"two");
         });
         assert_eq!(store.object_count("b"), 1);
     }
 
     #[test]
     fn put_if_absent_enforces_precondition() {
-        run_with(quiet_config(), |ctx, c| {
-            c.put_if_absent(ctx, "b", "k", Bytes::from("x"))
+        run_with(quiet_config(), async |ctx, c| {
+            c.put_if_absent_async(ctx, "b", "k", Bytes::from("x"))
+                .await
                 .expect("first");
             let err = c
-                .put_if_absent(ctx, "b", "k", Bytes::from("y"))
+                .put_if_absent_async(ctx, "b", "k", Bytes::from("y"))
+                .await
                 .expect_err("second");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get(ctx, "b", "k").expect("get")[..], b"x");
+            assert_eq!(&c.get_async(ctx, "b", "k").await.expect("get")[..], b"x");
         });
     }
 
@@ -1298,9 +1310,12 @@ mod tests {
         for i in 0..4 {
             let store = Arc::clone(&store);
             let wins = Arc::clone(&wins);
-            sim.spawn(format!("creator{}", i), move |ctx| {
-                let c = store.connect(ctx, "race");
-                match c.put_if_absent(ctx, "b", "lock", Bytes::from(format!("{}", i))) {
+            sim.spawn_task(format!("creator{}", i), move |mut ctx| async move {
+                let c = store.connect_async(&ctx, "race").await;
+                match c
+                    .put_if_absent_async(&mut ctx, "b", "lock", Bytes::from(format!("{}", i)))
+                    .await
+                {
                     Ok(_) => *wins.lock().unwrap() += 1,
                     Err(StoreError::PreconditionFailed { .. }) => {}
                     Err(e) => panic!("unexpected: {}", e),
@@ -1314,22 +1329,28 @@ mod tests {
 
     #[test]
     fn put_if_match_is_a_cas() {
-        run_with(quiet_config(), |ctx, c| {
-            let v1 = c.put(ctx, "b", "k", Bytes::from("one")).expect("put");
+        run_with(quiet_config(), async |ctx, c| {
+            let v1 = c
+                .put_async(ctx, "b", "k", Bytes::from("one"))
+                .await
+                .expect("put");
             // Matching etag swaps.
             let v2 = c
-                .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("two"))
+                .put_if_match_async(ctx, "b", "k", v1.etag, Bytes::from("two"))
+                .await
                 .expect("cas");
             assert_ne!(v1.etag, v2.etag);
             // Stale etag fails and leaves the value intact.
             let err = c
-                .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("three"))
+                .put_if_match_async(ctx, "b", "k", v1.etag, Bytes::from("three"))
+                .await
                 .expect_err("stale");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get(ctx, "b", "k").expect("get")[..], b"two");
+            assert_eq!(&c.get_async(ctx, "b", "k").await.expect("get")[..], b"two");
             // Missing key fails too.
             let err = c
-                .put_if_match(ctx, "b", "nope", 0, Bytes::from("x"))
+                .put_if_match_async(ctx, "b", "nope", 0, Bytes::from("x"))
+                .await
                 .expect_err("missing");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
         });
@@ -1347,17 +1368,21 @@ mod tests {
             .expect("init");
         for i in 0..2 {
             let store = Arc::clone(&store);
-            sim.spawn(format!("inc{}", i), move |ctx| {
-                let c = store.connect(ctx, "cas");
+            sim.spawn_task(format!("inc{}", i), move |mut ctx| async move {
+                let c = store.connect_async(&ctx, "cas").await;
                 for _ in 0..5 {
                     loop {
-                        let meta = c.head(ctx, "b", "counter").expect("head");
-                        let cur: u64 =
-                            String::from_utf8_lossy(&c.get(ctx, "b", "counter").expect("get"))
-                                .parse()
-                                .expect("number");
+                        let meta = c.head_async(&mut ctx, "b", "counter").await.expect("head");
+                        let cur: u64 = String::from_utf8_lossy(
+                            &c.get_async(&mut ctx, "b", "counter").await.expect("get"),
+                        )
+                        .parse()
+                        .expect("number");
                         let next = Bytes::from((cur + 1).to_string());
-                        match c.put_if_match(ctx, "b", "counter", meta.etag, next) {
+                        match c
+                            .put_if_match_async(&mut ctx, "b", "counter", meta.etag, next)
+                            .await
+                        {
                             Ok(_) => break,
                             Err(StoreError::PreconditionFailed { .. }) => continue,
                             Err(e) => panic!("unexpected: {}", e),
@@ -1373,14 +1398,21 @@ mod tests {
 
     #[test]
     fn range_get_slices_and_validates() {
-        run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("0123456789"))
+        run_with(quiet_config(), async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from("0123456789"))
+                .await
                 .expect("put");
-            let part = c.get_range(ctx, "b", "k", 2, 3).expect("range");
+            let part = c.get_range_async(ctx, "b", "k", 2, 3).await.expect("range");
             assert_eq!(&part[..], b"234");
-            let whole = c.get_range(ctx, "b", "k", 0, 10).expect("full range");
+            let whole = c
+                .get_range_async(ctx, "b", "k", 0, 10)
+                .await
+                .expect("full range");
             assert_eq!(whole.len(), 10);
-            let err = c.get_range(ctx, "b", "k", 8, 5).expect_err("overrun");
+            let err = c
+                .get_range_async(ctx, "b", "k", 8, 5)
+                .await
+                .expect_err("overrun");
             assert!(matches!(
                 err,
                 StoreError::InvalidRange { object_len: 10, .. }
@@ -1390,31 +1422,39 @@ mod tests {
 
     #[test]
     fn list_filters_by_prefix_in_order() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             for key in ["a/1", "a/2", "b/1", "a10"] {
-                c.put(ctx, "b", key, Bytes::from("x")).expect("put");
+                c.put_async(ctx, "b", key, Bytes::from("x"))
+                    .await
+                    .expect("put");
             }
-            let got = c.list(ctx, "b", "a/").expect("list");
+            let got = c.list_async(ctx, "b", "a/").await.expect("list");
             let keys: Vec<&str> = got.iter().map(|o| o.key.as_str()).collect();
             assert_eq!(keys, vec!["a/1", "a/2"]);
-            let all = c.list(ctx, "b", "").expect("list all");
+            let all = c.list_async(ctx, "b", "").await.expect("list all");
             assert_eq!(all.len(), 4);
         });
     }
 
     #[test]
     fn paginated_listing_walks_all_keys() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             for i in 0..23 {
-                c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                c.put_async(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                    .await
                     .expect("put");
             }
-            c.put(ctx, "b", "q/other", Bytes::from("x")).expect("put");
+            c.put_async(ctx, "b", "q/other", Bytes::from("x"))
+                .await
+                .expect("put");
             let mut seen = Vec::new();
             let mut after = String::new();
             let mut pages = 0;
             loop {
-                let (page, token) = c.list_page(ctx, "b", "p/", &after, 10).expect("page");
+                let (page, token) = c
+                    .list_page_async(ctx, "b", "p/", &after, 10)
+                    .await
+                    .expect("page");
                 assert!(page.len() <= 10);
                 seen.extend(page.iter().map(|o| o.key.clone()));
                 pages += 1;
@@ -1432,12 +1472,16 @@ mod tests {
 
     #[test]
     fn pagination_exact_page_boundary_has_no_extra_page() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             for i in 0..10 {
-                c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                c.put_async(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                    .await
                     .expect("put");
             }
-            let (page, token) = c.list_page(ctx, "b", "p/", "", 10).expect("page");
+            let (page, token) = c
+                .list_page_async(ctx, "b", "p/", "", 10)
+                .await
+                .expect("page");
             assert_eq!(page.len(), 10);
             assert!(token.is_none(), "exactly one page");
         });
@@ -1445,17 +1489,20 @@ mod tests {
 
     #[test]
     fn pagination_counts_class_a_per_page() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
             for i in 0..5 {
-                c.put(ctx, "b", &format!("p/{}", i), Bytes::from("x"))
+                c.put_async(ctx, "b", &format!("p/{}", i), Bytes::from("x"))
+                    .await
                     .expect("put");
             }
-            let (_, t) = c.list_page(ctx, "b", "p/", "", 2).expect("p1");
+            let (_, t) = c.list_page_async(ctx, "b", "p/", "", 2).await.expect("p1");
             let (_, t) = c
-                .list_page(ctx, "b", "p/", &t.expect("more"), 2)
+                .list_page_async(ctx, "b", "p/", &t.expect("more"), 2)
+                .await
                 .expect("p2");
             let (_, t) = c
-                .list_page(ctx, "b", "p/", &t.expect("more"), 2)
+                .list_page_async(ctx, "b", "p/", &t.expect("more"), 2)
+                .await
                 .expect("p3");
             assert!(t.is_none());
         });
@@ -1465,20 +1512,24 @@ mod tests {
 
     #[test]
     fn delete_is_idempotent() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
-            c.delete(ctx, "b", "k").expect("delete");
-            c.delete(ctx, "b", "k").expect("delete again");
-            assert!(!c.exists(ctx, "b", "k").expect("exists"));
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from("x"))
+                .await
+                .expect("put");
+            c.delete_async(ctx, "b", "k").await.expect("delete");
+            c.delete_async(ctx, "b", "k").await.expect("delete again");
+            assert!(!c.exists_async(ctx, "b", "k").await.expect("exists"));
         });
         assert_eq!(store.object_count("b"), 0);
     }
 
     #[test]
     fn head_reports_metadata() {
-        run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("abcd")).expect("put");
-            let meta = c.head(ctx, "b", "k").expect("head");
+        run_with(quiet_config(), async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from("abcd"))
+                .await
+                .expect("put");
+            let meta = c.head_async(ctx, "b", "k").await.expect("head");
             assert_eq!(meta.len.as_u64(), 4);
             assert_eq!(meta.key, "k");
         });
@@ -1486,36 +1537,61 @@ mod tests {
 
     #[test]
     fn copy_duplicates_server_side() {
-        run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "src", Bytes::from("data")).expect("put");
-            c.copy(ctx, "b", "src", "b", "dst").expect("copy");
-            assert_eq!(&c.get(ctx, "b", "dst").expect("get")[..], b"data");
+        run_with(quiet_config(), async |ctx, c| {
+            c.put_async(ctx, "b", "src", Bytes::from("data"))
+                .await
+                .expect("put");
+            c.copy_async(ctx, "b", "src", "b", "dst")
+                .await
+                .expect("copy");
+            assert_eq!(
+                &c.get_async(ctx, "b", "dst").await.expect("get")[..],
+                b"data"
+            );
         });
     }
 
     #[test]
     fn multipart_concatenates_in_part_order() {
-        run_with(quiet_config(), |ctx, c| {
-            let up = c.create_multipart(ctx, "b", "big").expect("create");
+        run_with(quiet_config(), async |ctx, c| {
+            let up = c
+                .create_multipart_async(ctx, "b", "big")
+                .await
+                .expect("create");
             // Upload out of order.
-            c.upload_part(ctx, "b", up, 2, Bytes::from("world"))
+            c.upload_part_async(ctx, "b", up, 2, Bytes::from("world"))
+                .await
                 .expect("p2");
-            c.upload_part(ctx, "b", up, 1, Bytes::from("hello "))
+            c.upload_part_async(ctx, "b", up, 1, Bytes::from("hello "))
+                .await
                 .expect("p1");
-            let done = c.complete_multipart(ctx, "b", up).expect("complete");
+            let done = c
+                .complete_multipart_async(ctx, "b", up)
+                .await
+                .expect("complete");
             assert_eq!(done.len.as_u64(), 11);
-            assert_eq!(&c.get(ctx, "b", "big").expect("get")[..], b"hello world");
+            assert_eq!(
+                &c.get_async(ctx, "b", "big").await.expect("get")[..],
+                b"hello world"
+            );
         });
     }
 
     #[test]
     fn multipart_abort_discards() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            let up = c.create_multipart(ctx, "b", "gone").expect("create");
-            c.upload_part(ctx, "b", up, 1, Bytes::from("x"))
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            let up = c
+                .create_multipart_async(ctx, "b", "gone")
+                .await
+                .expect("create");
+            c.upload_part_async(ctx, "b", up, 1, Bytes::from("x"))
+                .await
                 .expect("p1");
-            c.abort_multipart(ctx, "b", up).expect("abort");
-            let err = c.complete_multipart(ctx, "b", up).expect_err("aborted");
+            c.abort_multipart_async(ctx, "b", up).await.expect("abort");
+            let err = c
+                .complete_multipart_async(ctx, "b", up)
+                .await
+                .expect_err("aborted");
             assert!(matches!(err, StoreError::NoSuchUpload { .. }));
         });
         assert_eq!(store.object_count("b"), 0);
@@ -1527,9 +1603,11 @@ mod tests {
             first_byte_latency: SimDuration::from_millis(30),
             ..quiet_config()
         };
-        let (_, end) = run_with(cfg, |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
-            c.get(ctx, "b", "k").expect("get");
+        let (_, end) = run_with(cfg, async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from("x"))
+                .await
+                .expect("put");
+            c.get_async(ctx, "b", "k").await.expect("get");
         });
         assert_eq!(end, SimTime::from_nanos(60_000_000));
     }
@@ -1540,8 +1618,9 @@ mod tests {
             per_connection_bw: Bandwidth::bytes_per_sec(1000.0),
             ..quiet_config()
         };
-        let (_, end) = run_with(cfg, |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from(vec![0u8; 2000]))
+        let (_, end) = run_with(cfg, async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from(vec![0u8; 2000]))
+                .await
                 .expect("put");
         });
         assert!((end.as_secs_f64() - 2.0).abs() < 1e-7);
@@ -1554,9 +1633,10 @@ mod tests {
             ops_burst: 1.0,
             ..quiet_config()
         };
-        let (_, end) = run_with(cfg, |ctx, c| {
+        let (_, end) = run_with(cfg, async |ctx, c| {
             for i in 0..11 {
-                c.put(ctx, "b", &format!("k{}", i), Bytes::new())
+                c.put_async(ctx, "b", &format!("k{}", i), Bytes::new())
+                    .await
                     .expect("put");
             }
         });
@@ -1571,10 +1651,11 @@ mod tests {
             ..quiet_config()
         }
         .with_size_scale(10.0);
-        let (store, end) = run_with(cfg, |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from(vec![7u8; 100]))
+        let (store, end) = run_with(cfg, async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from(vec![7u8; 100]))
+                .await
                 .expect("put");
-            let data = c.get(ctx, "b", "k").expect("get");
+            let data = c.get_async(ctx, "b", "k").await.expect("get");
             assert_eq!(data.len(), 100, "real content is unscaled");
         });
         // 100 real bytes modelled as 1000 wire bytes, twice (put+get) at
@@ -1588,11 +1669,13 @@ mod tests {
 
     #[test]
     fn metrics_attribute_by_tag_and_class() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
-            c.get(ctx, "b", "k").expect("get");
-            c.list(ctx, "b", "").expect("list");
-            c.delete(ctx, "b", "k").expect("delete");
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from("x"))
+                .await
+                .expect("put");
+            c.get_async(ctx, "b", "k").await.expect("get");
+            c.list_async(ctx, "b", "").await.expect("list");
+            c.delete_async(ctx, "b", "k").await.expect("delete");
         });
         let m = store.metrics();
         let t = m.tag("test").expect("tag recorded");
@@ -1605,9 +1688,10 @@ mod tests {
     #[test]
     fn injected_failures_surface_and_count() {
         let cfg = quiet_config().with_failure(FailurePolicy::with_error_rate(1.0));
-        let (store, _) = run_with(cfg, |ctx, c| {
+        let (store, _) = run_with(cfg, async |ctx, c| {
             let err = c
-                .put(ctx, "b", "k", Bytes::from("x"))
+                .put_async(ctx, "b", "k", Bytes::from("x"))
+                .await
                 .expect_err("injected");
             assert!(matches!(err, StoreError::Injected { op: "PUT" }));
         });
@@ -1622,8 +1706,10 @@ mod tests {
             ..quiet_config()
         }
         .with_failure(FailurePolicy::with_slowdown(1.0, 5.0));
-        let (_, end) = run_with(cfg, |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
+        let (_, end) = run_with(cfg, async |ctx, c| {
+            c.put_async(ctx, "b", "k", Bytes::from("x"))
+                .await
+                .expect("put");
         });
         assert_eq!(end, SimTime::from_nanos(50_000_000));
     }
@@ -1646,10 +1732,16 @@ mod tests {
         for i in 0..2 {
             let handle = Arc::clone(&store);
             let finish = Arc::clone(&finish);
-            sim.spawn(format!("w{}", i), move |ctx| {
-                let c = handle.connect(ctx, format!("w{}", i));
-                c.put(ctx, "b", &format!("k{}", i), Bytes::from(vec![0u8; 1000]))
-                    .expect("put");
+            sim.spawn_task(format!("w{}", i), move |mut ctx| async move {
+                let c = handle.connect_async(&ctx, format!("w{}", i)).await;
+                c.put_async(
+                    &mut ctx,
+                    "b",
+                    &format!("k{}", i),
+                    Bytes::from(vec![0u8; 1000]),
+                )
+                .await
+                .expect("put");
                 finish.lock().unwrap().push(ctx.now().as_secs_f64());
             });
         }
@@ -1684,11 +1776,19 @@ mod tests {
         for tenant in ["t0", "t1"] {
             let handle = Arc::clone(&store);
             let finish = Arc::clone(&finish);
-            sim.spawn(format!("{}-driver", tenant), move |ctx| {
-                let c = handle.connect(ctx, format!("{}/r0/sort", tenant));
+            sim.spawn_task(format!("{}-driver", tenant), move |mut ctx| async move {
+                let c = handle
+                    .connect_async(&ctx, format!("{}/r0/sort", tenant))
+                    .await;
                 for i in 0..3 {
-                    c.put(ctx, "b", &format!("{}/{}", tenant, i), Bytes::from("x"))
-                        .expect("put");
+                    c.put_async(
+                        &mut ctx,
+                        "b",
+                        &format!("{}/{}", tenant, i),
+                        Bytes::from("x"),
+                    )
+                    .await
+                    .expect("put");
                 }
                 finish
                     .lock()

@@ -304,12 +304,12 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(10));
-            let vm = f.provision(ctx, VmProfile::bx2_8x32());
+        sim.spawn_task("driver", move |ctx| async move {
+            ctx.sleep_async(SimDuration::from_secs(10)).await;
+            let vm = f.provision_async(&ctx, VmProfile::bx2_8x32()).await;
             assert_eq!(ctx.now().as_secs_f64(), 10.0 + 44.0);
-            ctx.sleep(SimDuration::from_secs(5));
-            f.release(ctx, vm);
+            ctx.sleep_async(SimDuration::from_secs(5)).await;
+            f.release(&ctx, vm);
         });
         sim.run().expect("run");
         let rec = &fleet.records()[0];
@@ -326,9 +326,9 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let _vm = f.provision(ctx, VmProfile::bx2_4x16());
-            ctx.sleep(SimDuration::from_secs(8));
+        sim.spawn_task("driver", move |ctx| async move {
+            let _vm = f.provision_async(&ctx, VmProfile::bx2_4x16()).await;
+            ctx.sleep_async(SimDuration::from_secs(8)).await;
         });
         sim.run().expect("run");
         let rec = &fleet.records()[0];
@@ -342,14 +342,15 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let vm = f.provision(ctx, VmProfile::bx2_8x32());
+        sim.spawn_task("driver", move |ctx| async move {
+            let vm = f.provision_async(&ctx, VmProfile::bx2_8x32()).await;
             let before = ctx.now();
-            vm.compute_parallel(ctx, SimDuration::from_secs(656), 8);
+            vm.compute_parallel_async(&ctx, SimDuration::from_secs(656), 8)
+                .await;
             let took = ctx.now().saturating_duration_since(before).as_secs_f64();
             // 656 s / (8 * 0.82) = 100 s.
             assert!((took - 100.0).abs() < 1e-6);
-            f.release(ctx, vm);
+            f.release(&ctx, vm);
         });
         sim.run().expect("run");
     }
@@ -361,10 +362,10 @@ mod tests {
         let sink = TraceSink::recording();
         fleet.set_trace_sink(sink.clone());
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let vm = f.provision(ctx, VmProfile::bx2_8x32());
-            vm.compute(ctx, SimDuration::from_secs(3));
-            f.release(ctx, vm);
+        sim.spawn_task("driver", move |ctx| async move {
+            let vm = f.provision_async(&ctx, VmProfile::bx2_8x32()).await;
+            vm.compute_async(&ctx, SimDuration::from_secs(3)).await;
+            f.release(&ctx, vm);
         });
         sim.run().expect("run");
         let data = sink.snapshot();
@@ -393,10 +394,12 @@ mod tests {
         let sink = TraceSink::recording();
         fleet.set_trace_sink(sink.clone());
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let vm = f.provision_prewarmed(ctx, VmProfile::bx2_8x32());
+        sim.spawn_task("driver", move |ctx| async move {
+            let vm = f
+                .provision_prewarmed_async(&ctx, VmProfile::bx2_8x32())
+                .await;
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "same delay as provision");
-            f.release(ctx, vm);
+            f.release(&ctx, vm);
         });
         sim.run().expect("run");
         let rec = &fleet.records()[0];
@@ -419,12 +422,12 @@ mod tests {
         let fleet = VmFleet::new();
         let t0 = fleet.scoped("t0");
         let t1 = fleet.scoped("t1");
-        sim.spawn("driver", move |ctx| {
-            let a = t0.provision(ctx, VmProfile::bx2_4x16());
-            let b = t1.provision(ctx, VmProfile::bx2_4x16());
+        sim.spawn_task("driver", move |ctx| async move {
+            let a = t0.provision_async(&ctx, VmProfile::bx2_4x16()).await;
+            let b = t1.provision_async(&ctx, VmProfile::bx2_4x16()).await;
             assert_ne!(a.id, b.id, "ids come from the shared fleet");
-            t0.release(ctx, a);
-            t1.release(ctx, b);
+            t0.release(&ctx, a);
+            t1.release(&ctx, b);
         });
         sim.run().expect("run");
         let recs = fleet.records();
@@ -439,12 +442,12 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let a = f.provision(ctx, VmProfile::bx2_4x16());
-            let b = f.provision(ctx, VmProfile::bx2_4x16());
+        sim.spawn_task("driver", move |ctx| async move {
+            let a = f.provision_async(&ctx, VmProfile::bx2_4x16()).await;
+            let b = f.provision_async(&ctx, VmProfile::bx2_4x16()).await;
             assert_ne!(a.id, b.id);
-            f.release(ctx, a);
-            f.release(ctx, b);
+            f.release(&ctx, a);
+            f.release(&ctx, b);
         });
         sim.run().expect("run");
         assert_eq!(fleet.records().len(), 2);

@@ -22,31 +22,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     store.create_bucket("data")?;
 
     // 2. A driver process that fans out four functions; each writes and
-    //    re-reads an object. Bodies are plain Rust closures — time is
+    //    re-reads an object. Bodies are async Rust closures — time is
     //    virtual, the bytes are real.
     let store2 = Arc::clone(&store);
     let faas2 = Arc::clone(&faas);
-    sim.spawn("driver", move |ctx| {
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let store = Arc::clone(&store2);
-                faas2.invoke_async(
-                    ctx,
+    sim.spawn_task("driver", move |ctx| async move {
+        let mut handles = Vec::new();
+        for i in 0..4 {
+            let store = Arc::clone(&store2);
+            let h = faas2
+                .invoke_task(
+                    &ctx,
                     "worker",
                     format!("quickstart/{}", i),
-                    move |fctx, env| {
-                        let client = store.connect_via(fctx, "quickstart", &[env.nic]);
+                    async move |fctx, env| {
+                        let client = store
+                            .connect_via_async(fctx, "quickstart", &[env.nic])
+                            .await;
                         let key = format!("greeting/{}", i);
                         let body = Bytes::from(vec![i as u8; 8 << 20]); // 8 MiB
-                        client.put(fctx, "data", &key, body).expect("put");
-                        let back = client.get(fctx, "data", &key).expect("get");
+                        client
+                            .put_async(fctx, "data", &key, body)
+                            .await
+                            .expect("put");
+                        let back = client.get_async(fctx, "data", &key).await.expect("get");
                         assert_eq!(back.len(), 8 << 20);
-                        env.compute(fctx, SimDuration::from_millis(150));
+                        env.compute_async(fctx, SimDuration::from_millis(150)).await;
                     },
                 )
-            })
-            .collect();
-        ctx.join_all(&handles).expect("workers ok");
+                .await;
+            handles.push(h);
+        }
+        ctx.join_all_async(&handles).await.expect("workers ok");
         println!("all workers finished at t = {}", ctx.now());
     });
 
