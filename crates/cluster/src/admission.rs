@@ -81,11 +81,6 @@ impl TenantGate {
 
     /// Blocks until the run may start: first a concurrency slot, then a
     /// rate token (so a queued run does not burn tokens while waiting).
-    pub fn admit(&self, ctx: &Ctx) {
-        faaspipe_des::run_blocking(self.admit_async(ctx));
-    }
-
-    /// Async form of [`TenantGate::admit`] for stackless processes.
     pub async fn admit_async(&self, ctx: &Ctx) {
         if let Some(sem) = self.sem {
             ctx.sem_acquire_async(sem, 1).await;
@@ -96,11 +91,6 @@ impl TenantGate {
     }
 
     /// Returns the concurrency slot when the run finishes.
-    pub fn release(&self, ctx: &Ctx) {
-        faaspipe_des::run_blocking(self.release_async(ctx));
-    }
-
-    /// Async form of [`TenantGate::release`] for stackless processes.
     pub async fn release_async(&self, ctx: &Ctx) {
         if let Some(sem) = self.sem {
             ctx.sem_release_async(sem, 1).await;

@@ -69,32 +69,17 @@ type ResultMap = Arc<Mutex<BTreeMap<String, Result<StageResult, String>>>>;
 /// from a live process) can hand it to the scheduler as a stackless task.
 type StageBody = Box<dyn for<'a> FnOnce(&'a mut Ctx) -> LocalBoxFuture<'a, ()> + Send>;
 
-/// Where DAG driver processes are spawned from: the sim itself (before
-/// `run`) or a live process (a cluster's per-run driver). Either way the
-/// drivers are stackless tasks — they cost no OS thread while suspended.
-enum DagSpawner<'s> {
-    Sim(&'s mut Sim),
-    Live(&'s Ctx),
-}
-
-impl DagSpawner<'_> {
-    async fn spawn(&mut self, name: String, body: StageBody) -> ProcessId {
-        match self {
-            DagSpawner::Sim(sim) => {
-                sim.spawn_task(
-                    name,
-                    move |mut ctx: Ctx| async move { body(&mut ctx).await },
-                )
+/// The workflow root process: it completes when every stage driver in
+/// `pids` has.
+fn workflow_root(pids: Vec<ProcessId>) -> (String, StageBody) {
+    let body: StageBody = Box::new(move |ctx: &mut Ctx| {
+        Box::pin(async move {
+            for pid in pids {
+                let _ = ctx.join_async(pid).await;
             }
-            DagSpawner::Live(ctx) => {
-                ctx.spawn_task(
-                    name,
-                    move |mut ctx: Ctx| async move { body(&mut ctx).await },
-                )
-                .await
-            }
-        }
-    }
+        }) as LocalBoxFuture<'_, ()>
+    });
+    ("workflow:root".to_string(), body)
 }
 
 /// Handle to a spawned workflow: join `root` (or run the sim to
@@ -191,116 +176,131 @@ impl Executor {
     /// Panics if the DAG fails validation (construct via [`Dag::add_stage`]
     /// to make that impossible).
     pub fn spawn_dag(&self, sim: &mut Sim, dag: &Dag) -> DagHandle {
-        // Spawning into an un-started sim never suspends, so the single
-        // eager poll of `run_blocking` completes the whole future.
-        faaspipe_des::run_blocking(self.spawn_dag_with(dag, DagSpawner::Sim(sim)))
+        dag.validate().expect("DAG must be valid");
+        let results = ResultMap::default();
+        let mut pids = Vec::with_capacity(dag.len());
+        for idx in 0..dag.len() {
+            let (name, body) = self.stage_driver(dag, idx, &pids, &results);
+            pids.push(sim.spawn_task(
+                name,
+                move |mut ctx: Ctx| async move { body(&mut ctx).await },
+            ));
+        }
+        let (name, body) = workflow_root(pids);
+        let root = sim.spawn_task(
+            name,
+            move |mut ctx: Ctx| async move { body(&mut ctx).await },
+        );
+        DagHandle { root, results }
     }
 
     /// Like [`Executor::spawn_dag`], but launched from *inside* a running
     /// simulation — the caller is a live process (a cluster's per-run
     /// driver) and the DAG starts at the current virtual time.
-    /// `ctx.join(handle.root)` to rendezvous with completion.
-    pub fn spawn_dag_in(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
-        faaspipe_des::run_blocking(self.spawn_dag_in_async(ctx, dag))
-    }
-
-    /// Async form of [`Executor::spawn_dag_in`] for stackless callers.
+    /// `ctx.join_async(handle.root)` to rendezvous with completion.
+    ///
+    /// # Panics
+    /// Panics if the DAG fails validation.
     pub async fn spawn_dag_in_async(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
-        self.spawn_dag_with(dag, DagSpawner::Live(ctx)).await
-    }
-
-    async fn spawn_dag_with(&self, dag: &Dag, mut spawner: DagSpawner<'_>) -> DagHandle {
         dag.validate().expect("DAG must be valid");
-        let results: ResultMap = Arc::new(Mutex::new(BTreeMap::new()));
-        let mut pids: Vec<ProcessId> = Vec::with_capacity(dag.len());
-        for (idx, stage) in dag.stages().iter().enumerate() {
-            // The planner's makespan objective extends through any encode
-            // stage fed by this one: a wide shuffle that leaves the encode
-            // gang more runs than workers is not actually faster.
-            let downstream_encode: usize = dag
-                .stages()
-                .iter()
-                .filter(|s| s.deps.iter().any(|d| d.0 == idx))
-                .filter_map(|s| match &s.kind {
-                    StageKind::Encode { workers, .. } => Some(*workers),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            let dep_pids: Vec<ProcessId> = stage.deps.iter().map(|d| pids[d.0]).collect();
-            let dep_names: Vec<String> = stage
-                .deps
-                .iter()
-                .map(|d| dag.stages()[d.0].name.clone())
-                .collect();
-            let stage2 = stage.clone();
-            let bucket = dag.bucket.clone();
-            let exec = self.clone();
-            let results2 = Arc::clone(&results);
-            let pid = spawner
-                .spawn(
-                    format!("stage:{}", stage.name),
-                    Box::new(move |ctx: &mut Ctx| {
-                        Box::pin(async move {
-                            // Wait for dependencies; skip if any failed.
-                            for (pid, name) in dep_pids.iter().zip(&dep_names) {
-                                if ctx.join_async(*pid).await.is_err() {
-                                    results2.lock().insert(
-                                        stage2.name.clone(),
-                                        Err(format!("dependency driver '{}' crashed", name)),
-                                    );
-                                    return;
-                                }
-                            }
-                            {
-                                let map = results2.lock();
-                                for name in &dep_names {
-                                    if matches!(map.get(name), Some(Err(_)) | None) {
-                                        drop(map);
-                                        results2.lock().insert(
-                                            stage2.name.clone(),
-                                            Err(format!("dependency '{}' failed", name)),
-                                        );
-                                        return;
-                                    }
-                                }
-                            }
-                            exec.tracker.stage_start(ctx, &stage2.name);
-                            let started = ctx.now();
-                            let outcome = exec
-                                .run_stage(ctx, &bucket, &stage2, downstream_encode)
-                                .await;
-                            exec.tracker.stage_end(ctx, &stage2.name);
-                            let finished = ctx.now();
-                            let entry = outcome.map(|(workers_used, output_bytes)| StageResult {
-                                stage: stage2.name.clone(),
-                                started,
-                                finished,
-                                workers_used,
-                                output_bytes,
-                            });
-                            results2.lock().insert(stage2.name.clone(), entry);
-                        }) as LocalBoxFuture<'_, ()>
-                    }),
+        let results = ResultMap::default();
+        let mut pids = Vec::with_capacity(dag.len());
+        for idx in 0..dag.len() {
+            let (name, body) = self.stage_driver(dag, idx, &pids, &results);
+            let pid = ctx
+                .spawn_task(
+                    name,
+                    move |mut ctx: Ctx| async move { body(&mut ctx).await },
                 )
                 .await;
             pids.push(pid);
         }
-        // Root process: the workflow completes when every stage driver has.
-        let all = pids.clone();
-        let root = spawner
-            .spawn(
-                "workflow:root".to_string(),
-                Box::new(move |ctx: &mut Ctx| {
-                    Box::pin(async move {
-                        for pid in all {
-                            let _ = ctx.join_async(pid).await;
-                        }
-                    }) as LocalBoxFuture<'_, ()>
-                }),
+        let (name, body) = workflow_root(pids);
+        let root = ctx
+            .spawn_task(
+                name,
+                move |mut ctx: Ctx| async move { body(&mut ctx).await },
             )
             .await;
         DagHandle { root, results }
+    }
+
+    /// The driver process of stage `idx`, given the pids of the drivers
+    /// spawned before it (every dependency comes earlier in the DAG).
+    fn stage_driver(
+        &self,
+        dag: &Dag,
+        idx: usize,
+        pids: &[ProcessId],
+        results: &ResultMap,
+    ) -> (String, StageBody) {
+        let stage = &dag.stages()[idx];
+        // The planner's makespan objective extends through any encode
+        // stage fed by this one: a wide shuffle that leaves the encode
+        // gang more runs than workers is not actually faster.
+        let downstream_encode: usize = dag
+            .stages()
+            .iter()
+            .filter(|s| s.deps.iter().any(|d| d.0 == idx))
+            .filter_map(|s| match &s.kind {
+                StageKind::Encode { workers, .. } => Some(*workers),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let dep_pids: Vec<ProcessId> = stage.deps.iter().map(|d| pids[d.0]).collect();
+        let dep_names: Vec<String> = stage
+            .deps
+            .iter()
+            .map(|d| dag.stages()[d.0].name.clone())
+            .collect();
+        let stage2 = stage.clone();
+        let bucket = dag.bucket.clone();
+        let exec = self.clone();
+        let results2 = Arc::clone(results);
+        let body: StageBody = Box::new(move |ctx: &mut Ctx| {
+            Box::pin(async move {
+                // Wait for dependencies; skip if any failed.
+                for (pid, name) in dep_pids.iter().zip(&dep_names) {
+                    if ctx.join_async(*pid).await.is_err() {
+                        results2.lock().insert(
+                            stage2.name.clone(),
+                            Err(format!("dependency driver '{}' crashed", name)),
+                        );
+                        return;
+                    }
+                }
+                {
+                    let map = results2.lock();
+                    for name in &dep_names {
+                        if matches!(map.get(name), Some(Err(_)) | None) {
+                            drop(map);
+                            results2.lock().insert(
+                                stage2.name.clone(),
+                                Err(format!("dependency '{}' failed", name)),
+                            );
+                            return;
+                        }
+                    }
+                }
+                exec.tracker.stage_start(ctx, &stage2.name);
+                let started = ctx.now();
+                let outcome = exec
+                    .run_stage(ctx, &bucket, &stage2, downstream_encode)
+                    .await;
+                exec.tracker.stage_end(ctx, &stage2.name);
+                let finished = ctx.now();
+                let entry = outcome.map(|(workers_used, output_bytes)| StageResult {
+                    stage: stage2.name.clone(),
+                    started,
+                    finished,
+                    workers_used,
+                    output_bytes,
+                });
+                results2.lock().insert(stage2.name.clone(), entry);
+            }) as LocalBoxFuture<'_, ()>
+        });
+        (format!("stage:{}", stage.name), body)
     }
 
     /// Charges one driver orchestration phase (job serialization,

@@ -2,38 +2,28 @@
 //!
 //! This crate is the timing substrate for the whole `faaspipe` workspace. It
 //! provides a virtual clock, an event queue, *stackless simulation
-//! processes* driven by a single-threaded event loop (with a thread-backed
-//! bridge for blocking bodies), FIFO semaphores, token-bucket rate limiters
-//! (in virtual time), and a max-min fair fluid-flow network for modelling
-//! shared bandwidth.
+//! processes* driven by a single-threaded event loop, FIFO semaphores,
+//! token-bucket rate limiters (in virtual time), and a max-min fair
+//! fluid-flow network for modelling shared bandwidth.
 //!
 //! ## Model
 //!
 //! A [`Sim`] owns a virtual clock that only advances when an event fires.
-//! Simulated activities are **processes**, in two flavors:
+//! Simulated activities are **processes**: each body is an `async` future
+//! polled by the scheduler on its own thread ([`Sim::spawn_task`],
+//! [`Ctx::spawn_task`]). Every [`Ctx`] operation (`sleep_async`,
+//! `sem_acquire_async`, `transfer_async`, `join_async`, `fan_out_async`, …)
+//! is a yield point: the future suspends, the scheduler services the
+//! request, and the continuation is re-polled when the virtual-time
+//! condition is met. A suspended process is a heap-allocated state
+//! machine — 100k concurrent processes cost 100k small allocations, not
+//! 100k OS threads. Genuinely CPU-heavy host kernels (sort/merge/encode)
+//! are dispatched to a small offload thread pool via [`Ctx::offload`]
+//! without perturbing the event schedule.
 //!
-//! * **Stackless tasks** ([`Sim::spawn_task`], [`Ctx::spawn_task`]) — the
-//!   body is an `async` future polled by the scheduler on its own thread.
-//!   Every `Ctx` operation (`sleep_async`, `sem_acquire_async`,
-//!   `transfer_async`, `join_async`, `fan_out_async`, …) is a yield point:
-//!   the future suspends, the scheduler services the request, and the
-//!   continuation is re-polled when the virtual-time condition is met. A
-//!   suspended process is a heap-allocated state machine — 100k concurrent
-//!   processes cost 100k small allocations, not 100k OS threads. Genuinely
-//!   CPU-heavy host kernels (sort/merge/encode) are dispatched to a small
-//!   offload thread pool via [`Ctx::offload`] without perturbing the event
-//!   schedule.
-//! * **Thread-backed closures** ([`Sim::spawn`], [`Ctx::spawn`]) — the
-//!   legacy bridge: ordinary blocking closures running on OS threads
-//!   borrowed from a parked worker pool (reused across processes, named
-//!   `sim-w{idx}`). Async helpers can be driven synchronously from these
-//!   bodies with [`run_blocking`], where every operation resolves eagerly
-//!   through the scheduler rendezvous.
-//!
-//! In both flavors the scheduler and processes run in strict alternation —
-//! at any instant at most one of them executes — and virtual time, pid
-//! assignment, and per-process RNG streams are identical across flavors,
-//! so simulations are deterministic regardless of host scheduling.
+//! The scheduler polls one process at a time, and pid assignment and
+//! per-process RNG streams depend only on the spawn order and the sim
+//! seed, so simulations are deterministic regardless of host scheduling.
 //!
 //! ## Example
 //!
@@ -61,10 +51,7 @@ pub mod sim;
 pub mod units;
 
 pub use flow::{FlowSpec, LinkId};
-pub use process::{
-    catch_unwind_future, is_shutdown_payload, run_blocking, CatchUnwind, Ctx, JoinError,
-    LocalBoxFuture, ProcessId,
-};
+pub use process::{catch_unwind_future, CatchUnwind, Ctx, JoinError, LocalBoxFuture, ProcessId};
 pub use resources::{LimiterId, SemId};
 pub use sim::{Sim, SimConfig, SimError, SimReport};
 pub use units::{Bandwidth, ByteSize, Money, SimDuration, SimTime};

@@ -1,41 +1,31 @@
 //! Simulation processes and the [`Ctx`] handle they use to interact with
 //! the simulation kernel.
 //!
-//! Processes come in two flavors sharing one process table and one
-//! virtual-time schedule:
+//! A process is a stackless task: its body is an `async` future that the
+//! scheduler polls on its own thread. Every simulation operation
+//! (`sleep_async`, `sem_acquire_async`, `transfer_async`, `spawn_task`,
+//! `join_async`, …) is a yield point — the future deposits its request in
+//! a shared `OpCell` and returns `Poll::Pending`; the scheduler services
+//! the request and re-polls when the virtual-time condition is met. A
+//! suspended process is a small heap-allocated state machine.
 //!
-//! * **Stackless tasks** (the default for new code): the body is an
-//!   `async` future polled by the scheduler on its own thread. Every
-//!   simulation operation (`sleep_async`, `sem_acquire_async`,
-//!   `transfer_async`, `spawn_task`, `join_async`, …) is a yield point —
-//!   the future deposits its request in a shared `OpCell` and returns
-//!   `Poll::Pending`; the scheduler services the request and re-polls
-//!   when the virtual-time condition is met. A suspended task is a small
-//!   heap-allocated state machine, not a parked OS thread.
-//! * **Thread-backed closures** (the legacy bridge): the body is a plain
-//!   `FnOnce(&mut Ctx)` run on a worker thread borrowed from the
-//!   scheduler's pool, in strict rendezvous with the scheduler. The same
-//!   async operations resolve *eagerly* through the rendezvous in this
-//!   mode, so async helpers can be driven from blocking code with
-//!   [`run_blocking`].
-//!
-//! In both modes the scheduler resumes exactly one process at a time, so
-//! host thread scheduling never influences simulation outcomes.
+//! The scheduler polls exactly one process at a time and only CPU kernels
+//! handed to [`Ctx::offload`] run on other threads, so host thread
+//! scheduling never influences simulation outcomes.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context as PollContext, Poll, Waker};
+use std::task::{Context as PollContext, Poll};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::flow::{FlowSpec, LinkId};
-use crate::pool::Rendezvous;
 use crate::resources::{LimiterId, SemId};
 use crate::units::{Bandwidth, ByteSize, SimDuration, SimTime};
 
@@ -73,30 +63,19 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// The body of a thread-backed simulation process.
-pub type ProcessFn = Box<dyn FnOnce(&mut Ctx) + Send + 'static>;
-
 /// A boxed future pinned on the scheduler thread. Task futures are
 /// created and polled only there, so they need not be `Send`.
 pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// The body of a stackless simulation process: receives its owned
-/// [`Ctx`] and returns the process future. The closure crosses threads
-/// (a thread-backed parent may spawn tasks), the future it creates never
-/// does.
-pub(crate) type TaskFn = Box<dyn FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send + 'static>;
+/// The body of a simulation process: receives its owned [`Ctx`] and
+/// returns the process future.
+pub(crate) type TaskFn = Box<dyn FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + 'static>;
 
 /// A CPU-heavy kernel dispatched to the offload pool, type-erased.
 pub(crate) type OffloadJob = Box<dyn FnOnce() -> Box<dyn Any + Send> + Send + 'static>;
 
 /// Result of an offload job: the kernel's output, or its panic payload.
 pub(crate) type OffloadOutcome = std::thread::Result<Box<dyn Any + Send>>;
-
-/// Either flavor of process body, as carried by a spawn request.
-pub(crate) enum ProcessBody {
-    Blocking(ProcessFn),
-    Task(TaskFn),
-}
 
 /// Requests a process sends to the scheduler. Every request is acknowledged
 /// before the process continues; "blocking" requests are acknowledged only
@@ -110,10 +89,9 @@ pub(crate) enum YieldMsg {
     LimiterAcquire(LimiterId, f64),
     LinkCreate(Bandwidth),
     Transfer(FlowSpec),
-    Spawn { name: String, body: ProcessBody },
+    Spawn { name: String, body: TaskFn },
     Join(ProcessId),
     Offload { d: SimDuration, job: OffloadJob },
-    Finished(Result<(), String>),
 }
 
 /// Scheduler replies.
@@ -129,7 +107,6 @@ pub(crate) enum ResumeMsg {
     /// host-blocking for the kernel result only then.
     OffloadWait(u64),
     OffloadDone(OffloadOutcome),
-    Shutdown,
 }
 
 impl std::fmt::Debug for ResumeMsg {
@@ -149,22 +126,8 @@ impl std::fmt::Debug for ResumeMsg {
                     if r.is_ok() { "ok" } else { "panicked" }
                 )
             }
-            ResumeMsg::Shutdown => write!(f, "Shutdown"),
         }
     }
-}
-
-/// Marker panic payload used to unwind process threads on teardown.
-pub(crate) struct ShutdownSignal;
-
-/// Whether a caught panic payload is the kernel's teardown signal.
-///
-/// Services that wrap user closures in `catch_unwind` (e.g. to release a
-/// resource on crash) must *not* touch simulation primitives when this
-/// returns `true` — the scheduler is shutting down — and should simply
-/// resume unwinding.
-pub fn is_shutdown_payload(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload.downcast_ref::<ShutdownSignal>().is_some()
 }
 
 /// The one-slot mailbox between a suspended task and the scheduler:
@@ -177,18 +140,7 @@ pub(crate) struct OpCell {
     pub(crate) reply: RefCell<Option<ResumeMsg>>,
 }
 
-/// How a [`Ctx`] reaches the scheduler.
-enum CtxMode {
-    /// Legacy bridge: rendezvous channels to the scheduler thread.
-    Thread {
-        yield_tx: Arc<Rendezvous<(u32, YieldMsg)>>,
-        resume_rx: Arc<Rendezvous<ResumeMsg>>,
-    },
-    /// Stackless task: a mailbox shared with the scheduler's slot.
-    Task { cell: Rc<OpCell> },
-}
-
-/// Leaf future for one simulation operation of a stackless task. First
+/// Leaf future for one simulation operation of a process. First
 /// poll deposits the request and suspends; the scheduler answers (now or
 /// at the wake instant) and re-polls, completing the future.
 struct OpFuture {
@@ -210,29 +162,10 @@ impl Future for OpFuture {
             return Poll::Pending;
         }
         match this.cell.reply.borrow_mut().take() {
-            Some(ResumeMsg::Shutdown) => std::panic::panic_any(ShutdownSignal),
             Some(reply) => Poll::Ready(reply),
             // Spurious poll before the scheduler answered; stay suspended.
             None => Poll::Pending,
         }
-    }
-}
-
-/// Drives `fut` to completion from blocking (thread-backed) process code.
-///
-/// Inside a thread-backed process every simulation op resolves eagerly
-/// through the scheduler rendezvous, so the future completes in a single
-/// poll. Calling this inside a *stackless* process panics — `.await` the
-/// operation instead.
-pub fn run_blocking<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = PollContext::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => panic!(
-            "run_blocking suspended: blocking facades only work on \
-             thread-backed processes; `.await` the async variant instead"
-        ),
     }
 }
 
@@ -263,16 +196,15 @@ pub fn catch_unwind_future<F: Future>(fut: F) -> CatchUnwind<F> {
 
 /// Handle through which a process body interacts with the simulation.
 ///
-/// All methods that model the passage of time or contention **block in
-/// virtual time**: the calling process is suspended until the scheduler
-/// reaches the corresponding instant. Plain methods (`sleep`, `join`, …)
-/// are for thread-backed closures; `_async` variants are for stackless
-/// tasks (and also work, resolving eagerly, on thread-backed processes).
+/// Every method that models the passage of time or contention returns a
+/// future that suspends the calling process until the scheduler reaches
+/// the corresponding virtual instant; the others (`now`, `rng`, …) answer
+/// immediately.
 pub struct Ctx {
     pid: ProcessId,
     name: Arc<str>,
-    clock: Arc<AtomicU64>,
-    mode: CtxMode,
+    clock: Rc<Cell<u64>>,
+    cell: Rc<OpCell>,
     rng: SmallRng,
 }
 
@@ -287,44 +219,20 @@ impl std::fmt::Debug for Ctx {
 }
 
 impl Ctx {
-    fn seeded_rng(pid: ProcessId, seed: u64) -> SmallRng {
-        let stream = seed ^ (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SmallRng::seed_from_u64(stream)
-    }
-
-    pub(crate) fn new_thread(
+    pub(crate) fn new(
         pid: ProcessId,
         name: Arc<str>,
-        clock: Arc<AtomicU64>,
-        yield_tx: Arc<Rendezvous<(u32, YieldMsg)>>,
-        resume_rx: Arc<Rendezvous<ResumeMsg>>,
-        seed: u64,
-    ) -> Self {
-        Ctx {
-            pid,
-            name,
-            clock,
-            mode: CtxMode::Thread {
-                yield_tx,
-                resume_rx,
-            },
-            rng: Ctx::seeded_rng(pid, seed),
-        }
-    }
-
-    pub(crate) fn new_task(
-        pid: ProcessId,
-        name: Arc<str>,
-        clock: Arc<AtomicU64>,
+        clock: Rc<Cell<u64>>,
         cell: Rc<OpCell>,
         seed: u64,
     ) -> Self {
+        let stream = seed ^ (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Ctx {
             pid,
             name,
             clock,
-            mode: CtxMode::Task { cell },
-            rng: Ctx::seeded_rng(pid, seed),
+            cell,
+            rng: SmallRng::seed_from_u64(stream),
         }
     }
 
@@ -340,7 +248,7 @@ impl Ctx {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(Ordering::SeqCst))
+        SimTime::from_nanos(self.clock.get())
     }
 
     /// A deterministic per-process random stream (seeded from the sim seed
@@ -349,50 +257,17 @@ impl Ctx {
         &mut self.rng
     }
 
-    fn call(&self, msg: YieldMsg) -> ResumeMsg {
-        match &self.mode {
-            CtxMode::Thread {
-                yield_tx,
-                resume_rx,
-            } => {
-                yield_tx.send((self.pid.0, msg));
-                match resume_rx.recv() {
-                    ResumeMsg::Shutdown => std::panic::panic_any(ShutdownSignal),
-                    other => other,
-                }
-            }
-            CtxMode::Task { .. } => panic!(
-                "process '{}' used a blocking simulation op inside a stackless \
-                 task; use the `_async` variant and `.await` it",
-                self.name
-            ),
-        }
-    }
-
-    /// One simulation op, in either mode: eager rendezvous on a
-    /// thread-backed process, suspend-and-resume on a stackless task.
+    /// One simulation op: deposit the request, suspend, and resume with
+    /// the scheduler's answer.
     async fn call_async(&self, msg: YieldMsg) -> ResumeMsg {
-        match &self.mode {
-            CtxMode::Thread { .. } => self.call(msg),
-            CtxMode::Task { cell } => {
-                OpFuture {
-                    cell: Rc::clone(cell),
-                    msg: Some(msg),
-                }
-                .await
-            }
+        OpFuture {
+            cell: Rc::clone(&self.cell),
+            msg: Some(msg),
         }
+        .await
     }
 
     /// Advances this process's virtual time by `d`.
-    pub fn sleep(&self, d: SimDuration) {
-        match self.call(YieldMsg::Sleep(d)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for sleep: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::sleep`].
     pub async fn sleep_async(&self, d: SimDuration) {
         match self.call_async(YieldMsg::Sleep(d)).await {
             ResumeMsg::Go => {}
@@ -400,13 +275,8 @@ impl Ctx {
         }
     }
 
-    /// Charges `d` of virtual CPU time. Identical to [`Ctx::sleep`]; the
-    /// distinct name keeps call sites self-describing.
-    pub fn compute(&self, d: SimDuration) {
-        self.sleep(d);
-    }
-
-    /// Async variant of [`Ctx::compute`].
+    /// Charges `d` of virtual CPU time. Identical to [`Ctx::sleep_async`];
+    /// the distinct name keeps call sites self-describing.
     pub async fn compute_async(&self, d: SimDuration) {
         self.sleep_async(d).await;
     }
@@ -415,42 +285,26 @@ impl Ctx {
     /// CPU-heavy host kernel, on the offload thread pool.
     ///
     /// The virtual-time schedule is byte-for-byte identical to
-    /// `ctx.compute(d)` followed by running `job()` inline: the process
-    /// wakes at `now + d` exactly as a sleep would, and the kernel result
-    /// is collected (host-blocking if the kernel is still running) only at
-    /// that wake. On a thread-backed process the job simply runs inline.
+    /// `ctx.compute_async(d)` followed by running `job()` inline: the
+    /// process wakes at `now + d` exactly as a sleep would, and the kernel
+    /// result is collected (host-blocking if the kernel is still running)
+    /// only at that wake.
     pub async fn offload<R, J>(&self, d: SimDuration, job: J) -> R
     where
         R: Send + 'static,
         J: FnOnce() -> R + Send + 'static,
     {
-        match &self.mode {
-            CtxMode::Thread { .. } => {
-                self.sleep(d);
-                job()
-            }
-            CtxMode::Task { .. } => {
-                let erased: OffloadJob = Box::new(move || Box::new(job()) as Box<dyn Any + Send>);
-                match self.call_async(YieldMsg::Offload { d, job: erased }).await {
-                    ResumeMsg::OffloadDone(Ok(any)) => *any
-                        .downcast::<R>()
-                        .expect("offload job returned a value of the wrong type"),
-                    ResumeMsg::OffloadDone(Err(payload)) => std::panic::resume_unwind(payload),
-                    other => unreachable!("unexpected resume for offload: {:?}", other),
-                }
-            }
+        let erased: OffloadJob = Box::new(move || Box::new(job()) as Box<dyn Any + Send>);
+        match self.call_async(YieldMsg::Offload { d, job: erased }).await {
+            ResumeMsg::OffloadDone(Ok(any)) => *any
+                .downcast::<R>()
+                .expect("offload job returned a value of the wrong type"),
+            ResumeMsg::OffloadDone(Err(payload)) => std::panic::resume_unwind(payload),
+            other => unreachable!("unexpected resume for offload: {:?}", other),
         }
     }
 
     /// Creates a counting semaphore with `permits` initial permits.
-    pub fn sem_create(&self, permits: u64) -> SemId {
-        match self.call(YieldMsg::SemCreate(permits)) {
-            ResumeMsg::Sem(id) => id,
-            other => unreachable!("unexpected resume for sem_create: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::sem_create`].
     pub async fn sem_create_async(&self, permits: u64) -> SemId {
         match self.call_async(YieldMsg::SemCreate(permits)).await {
             ResumeMsg::Sem(id) => id,
@@ -459,14 +313,6 @@ impl Ctx {
     }
 
     /// Acquires `n` permits, blocking in virtual time until granted (FIFO).
-    pub fn sem_acquire(&self, id: SemId, n: u64) {
-        match self.call(YieldMsg::SemAcquire(id, n)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for sem_acquire: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::sem_acquire`].
     pub async fn sem_acquire_async(&self, id: SemId, n: u64) {
         match self.call_async(YieldMsg::SemAcquire(id, n)).await {
             ResumeMsg::Go => {}
@@ -475,14 +321,6 @@ impl Ctx {
     }
 
     /// Releases `n` permits.
-    pub fn sem_release(&self, id: SemId, n: u64) {
-        match self.call(YieldMsg::SemRelease(id, n)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for sem_release: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::sem_release`].
     pub async fn sem_release_async(&self, id: SemId, n: u64) {
         match self.call_async(YieldMsg::SemRelease(id, n)).await {
             ResumeMsg::Go => {}
@@ -492,14 +330,6 @@ impl Ctx {
 
     /// Creates a token-bucket rate limiter refilling at `rate` tokens/sec
     /// with capacity `burst`.
-    pub fn limiter_create(&self, rate: f64, burst: f64) -> LimiterId {
-        match self.call(YieldMsg::LimiterCreate { rate, burst }) {
-            ResumeMsg::Limiter(id) => id,
-            other => unreachable!("unexpected resume for limiter_create: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::limiter_create`].
     pub async fn limiter_create_async(&self, rate: f64, burst: f64) -> LimiterId {
         match self
             .call_async(YieldMsg::LimiterCreate { rate, burst })
@@ -512,14 +342,6 @@ impl Ctx {
 
     /// Takes `tokens` from the limiter, blocking in virtual time until they
     /// have accrued (FIFO).
-    pub fn limiter_acquire(&self, id: LimiterId, tokens: f64) {
-        match self.call(YieldMsg::LimiterAcquire(id, tokens)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for limiter_acquire: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::limiter_acquire`].
     pub async fn limiter_acquire_async(&self, id: LimiterId, tokens: f64) {
         match self.call_async(YieldMsg::LimiterAcquire(id, tokens)).await {
             ResumeMsg::Go => {}
@@ -528,14 +350,6 @@ impl Ctx {
     }
 
     /// Creates a bandwidth-constrained link in the fluid-flow network.
-    pub fn link_create(&self, capacity: Bandwidth) -> LinkId {
-        match self.call(YieldMsg::LinkCreate(capacity)) {
-            ResumeMsg::Link(id) => id,
-            other => unreachable!("unexpected resume for link_create: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::link_create`].
     pub async fn link_create_async(&self, capacity: Bandwidth) -> LinkId {
         match self.call_async(YieldMsg::LinkCreate(capacity)).await {
             ResumeMsg::Link(id) => id,
@@ -546,17 +360,6 @@ impl Ctx {
     /// Moves `bytes` across `links`, sharing each link's capacity max-min
     /// fairly with all concurrent transfers. Blocks in virtual time until
     /// the transfer completes.
-    pub fn transfer(&self, bytes: ByteSize, links: &[LinkId]) {
-        match self.call(YieldMsg::Transfer(FlowSpec {
-            bytes,
-            links: links.to_vec(),
-        })) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for transfer: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::transfer`].
     pub async fn transfer_async(&self, bytes: ByteSize, links: &[LinkId]) {
         match self
             .call_async(YieldMsg::Transfer(FlowSpec {
@@ -570,37 +373,18 @@ impl Ctx {
         }
     }
 
-    /// Spawns a thread-backed child process that starts at the current
-    /// virtual time. Only callable from a thread-backed process; stackless
-    /// tasks spawn children with [`Ctx::spawn_task`].
-    pub fn spawn<F>(&self, name: impl Into<String>, body: F) -> ProcessId
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        match self.call(YieldMsg::Spawn {
-            name: name.into(),
-            body: ProcessBody::Blocking(Box::new(body)),
-        }) {
-            ResumeMsg::Pid(pid) => pid,
-            other => unreachable!("unexpected resume for spawn: {:?}", other),
-        }
-    }
-
-    /// Spawns a stackless child process that starts at the current virtual
-    /// time. `f` receives the child's owned [`Ctx`] and returns its future.
-    ///
-    /// Works from both process flavors (thread-backed callers can wrap it
-    /// in [`run_blocking`]).
+    /// Spawns a child process that starts at the current virtual time.
+    /// `f` receives the child's owned [`Ctx`] and returns its future.
     pub async fn spawn_task<F, Fut>(&self, name: impl Into<String>, f: F) -> ProcessId
     where
-        F: FnOnce(Ctx) -> Fut + Send + 'static,
+        F: FnOnce(Ctx) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         let body: TaskFn = Box::new(move |ctx| Box::pin(f(ctx)) as LocalBoxFuture<'static, ()>);
         match self
             .call_async(YieldMsg::Spawn {
                 name: name.into(),
-                body: ProcessBody::Task(body),
+                body,
             })
             .await
         {
@@ -613,17 +397,6 @@ impl Ctx {
     ///
     /// # Errors
     /// Returns [`JoinError`] if the joined process panicked.
-    pub fn join(&self, pid: ProcessId) -> Result<(), JoinError> {
-        match self.call(YieldMsg::Join(pid)) {
-            ResumeMsg::JoinResult(res) => res,
-            other => unreachable!("unexpected resume for join: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::join`].
-    ///
-    /// # Errors
-    /// Returns [`JoinError`] if the joined process panicked.
     pub async fn join_async(&self, pid: ProcessId) -> Result<(), JoinError> {
         match self.call_async(YieldMsg::Join(pid)).await {
             ResumeMsg::JoinResult(res) => res,
@@ -633,20 +406,6 @@ impl Ctx {
 
     /// Joins every process in `pids`, returning the first error if any
     /// panicked (all are still awaited).
-    pub fn join_all(&self, pids: &[ProcessId]) -> Result<(), JoinError> {
-        let mut first_err = None;
-        for &pid in pids {
-            if let Err(e) = self.join(pid) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Async variant of [`Ctx::join_all`].
     ///
     /// # Errors
     /// Returns the first [`JoinError`] if any joined process panicked.
@@ -666,12 +425,13 @@ impl Ctx {
     /// Runs `jobs` with at most `window` of them in flight, then returns
     /// their results in job order.
     ///
-    /// Spawns `min(window, jobs.len())` thread-backed worker processes
-    /// that greedily pull jobs off a shared queue in job order: the
-    /// moment a worker finishes one job it starts the next, so the
-    /// virtual-time schedule is the same greedy one a semaphore-per-job
-    /// design yields. Workers are spawned in job-queue order
-    /// (deterministic pid assignment) and named `"{name}#{w}"`.
+    /// Spawns `min(window, jobs.len())` worker processes that greedily
+    /// pull jobs off a shared queue in job order: the moment a worker
+    /// finishes one job it starts the next, so the virtual-time schedule
+    /// is the same greedy one a semaphore-per-job design yields. Workers
+    /// are spawned in job-queue order (deterministic pid assignment) and
+    /// named `"{name}#{w}"`. A thousand-job fan-out costs `window` small
+    /// state machines, not threads.
     ///
     /// A window of `0` is treated as `1`.
     ///
@@ -683,49 +443,6 @@ impl Ctx {
     /// itself never deadlocks. A job whose result slot stayed empty
     /// (its worker died before running it) is also reported as a
     /// [`JoinError`], never as an internal panic.
-    pub fn fan_out<T, F>(
-        &self,
-        name: &str,
-        window: usize,
-        jobs: Vec<F>,
-    ) -> Result<Vec<T>, JoinError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut Ctx) -> T + Send + 'static,
-    {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let total = jobs.len();
-        let workers = window.max(1).min(total);
-        let queue: Arc<std::sync::Mutex<std::collections::VecDeque<(usize, F)>>> = Arc::new(
-            std::sync::Mutex::new(jobs.into_iter().enumerate().collect()),
-        );
-        let results: Arc<std::sync::Mutex<Vec<Option<T>>>> =
-            Arc::new(std::sync::Mutex::new((0..total).map(|_| None).collect()));
-        let mut pids = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let queue = Arc::clone(&queue);
-            let slot = Arc::clone(&results);
-            let pid = self.spawn(format!("{}#{}", name, w), move |cctx| loop {
-                let next = queue.lock().expect("fan_out queue").pop_front();
-                let Some((i, job)) = next else { break };
-                let value = job(cctx);
-                slot.lock().expect("fan_out slot")[i] = Some(value);
-            });
-            pids.push(pid);
-        }
-        self.join_all(&pids)?;
-        let mut slots = results.lock().expect("fan_out results");
-        collect_fan_out(name, &mut slots)
-    }
-
-    /// Async variant of [`Ctx::fan_out`]: identical windowed scheduling,
-    /// but jobs are async closures and the workers are stackless tasks —
-    /// a thousand-job fan-out costs zero OS threads.
-    ///
-    /// # Errors
-    /// Same contract as [`Ctx::fan_out`].
     pub async fn fan_out_async<T, F>(
         &self,
         name: &str,
@@ -733,8 +450,8 @@ impl Ctx {
         jobs: Vec<F>,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -759,7 +476,7 @@ impl Ctx {
     /// given.
     ///
     /// # Errors
-    /// Same contract as [`Ctx::fan_out`].
+    /// Same contract as [`Ctx::fan_out_async`].
     pub async fn fan_out_sparse_async<T, F>(
         &self,
         name: &str,
@@ -769,8 +486,8 @@ impl Ctx {
         mut fill: impl FnMut() -> T,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
         if total == 0 {
             return Ok(Vec::new());
@@ -794,7 +511,7 @@ impl Ctx {
     /// vector at all; a `logical_total` of `0` runs nothing.
     ///
     /// # Errors
-    /// Same contract as [`Ctx::fan_out`].
+    /// Same contract as [`Ctx::fan_out_async`].
     pub async fn fan_out_pinned_async<T, F>(
         &self,
         name: &str,
@@ -803,8 +520,8 @@ impl Ctx {
         jobs: Vec<F>,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
         if logical_total == 0 {
             return Ok(Vec::new());
@@ -826,42 +543,30 @@ impl Ctx {
         slots: Vec<Option<T>>,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
-        let queue: Arc<std::sync::Mutex<std::collections::VecDeque<(usize, F)>>> =
-            Arc::new(std::sync::Mutex::new(jobs.into_iter().collect()));
-        let results: Arc<std::sync::Mutex<Vec<Option<T>>>> = Arc::new(std::sync::Mutex::new(slots));
+        let queue: Rc<RefCell<VecDeque<(usize, F)>>> = Rc::new(RefCell::new(jobs.into()));
+        let results: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new(slots));
         let mut pids = Vec::with_capacity(workers);
         for w in 0..workers {
-            let queue = Arc::clone(&queue);
-            let slot = Arc::clone(&results);
+            let queue = Rc::clone(&queue);
+            let slot = Rc::clone(&results);
             let pid = self
                 .spawn_task(format!("{}#{}", name, w), move |mut cctx: Ctx| async move {
                     loop {
-                        let next = queue.lock().expect("fan_out queue").pop_front();
+                        let next = queue.borrow_mut().pop_front();
                         let Some((i, job)) = next else { break };
                         let value = job(&mut cctx).await;
-                        slot.lock().expect("fan_out slot")[i] = Some(value);
+                        slot.borrow_mut()[i] = Some(value);
                     }
                 })
                 .await;
             pids.push(pid);
         }
         self.join_all_async(&pids).await?;
-        let mut slots = results.lock().expect("fan_out results");
+        let mut slots = results.borrow_mut();
         collect_fan_out(name, &mut slots)
-    }
-
-    pub(crate) fn finish(&self, result: Result<(), String>) {
-        match &self.mode {
-            CtxMode::Thread { yield_tx, .. } => {
-                yield_tx.send((self.pid.0, YieldMsg::Finished(result)));
-            }
-            CtxMode::Task { .. } => {
-                unreachable!("tasks finish by returning from their future")
-            }
-        }
     }
 }
 

@@ -1,19 +1,18 @@
 //! The simulation scheduler: owns the clock, event queue, resources and
 //! process table, and runs the event loop to completion.
 
+use std::cell::Cell;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context as PollContext, Poll, Waker};
 
 use crate::events::{EventId, EventQueue, Wake};
 use crate::flow::{FlowNet, LinkId};
-use crate::pool::{Job, OffloadPool, Rendezvous, WorkerPool};
+use crate::pool::OffloadPool;
 use crate::process::{
-    panic_message, Ctx, JoinError, LocalBoxFuture, OpCell, ProcessBody, ProcessId, ResumeMsg,
-    TaskFn, YieldMsg,
+    panic_message, Ctx, JoinError, LocalBoxFuture, OpCell, ProcessId, ResumeMsg, TaskFn, YieldMsg,
 };
 use crate::resources::{LimiterId, RateLimiter, SemId, Semaphore};
 use crate::units::{Bandwidth, SimTime};
@@ -23,16 +22,11 @@ use crate::units::{Bandwidth, SimTime};
 pub struct SimConfig {
     /// Seed for all per-process random streams.
     pub seed: u64,
-    /// Stack size for pool worker threads, in bytes.
-    pub stack_size: usize,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            seed: 0xFAA5_0001,
-            stack_size: 2 * 1024 * 1024,
-        }
+        SimConfig { seed: 0xFAA5_0001 }
     }
 }
 
@@ -96,11 +90,6 @@ pub struct SimReport {
     /// Most processes simultaneously created-but-not-finished at any
     /// instant of the run.
     pub peak_live_processes: usize,
-    /// OS threads the worker pool created over the whole run (its
-    /// high-water mark of simultaneously *running-or-blocked*
-    /// thread-backed process bodies; threads are reused, never retired,
-    /// until teardown). Stackless tasks never count here.
-    pub pool_workers: usize,
     /// OS threads the CPU-offload pool created over the whole run
     /// (lazy, capped at `min(host cores, 8)`).
     pub offload_workers: usize,
@@ -113,8 +102,8 @@ enum PState {
     Finished(Result<(), String>),
 }
 
-/// A started stackless process: its suspended continuation plus the
-/// mailbox it exchanges ops with the scheduler through.
+/// A started process: its suspended continuation plus the mailbox it
+/// exchanges ops with the scheduler through.
 struct TaskState {
     /// The process future; `None` only transiently while being polled.
     future: Option<LocalBoxFuture<'static, ()>>,
@@ -127,13 +116,9 @@ struct Slot {
     /// What to send when this blocked process is next woken.
     resume_with: ResumeMsg,
     join_waiters: Vec<u32>,
-    /// The body, until the process first wakes and is bound to its
-    /// backing (pool worker thread or task future).
-    body: Option<ProcessBody>,
-    /// Pool worker currently running this process, once bound
-    /// (thread-backed processes only).
-    worker: Option<u32>,
-    /// The continuation, once started (stackless processes only).
+    /// The body, until the process first wakes and creates its future.
+    body: Option<TaskFn>,
+    /// The continuation, from the first wake until the process finishes.
     task: Option<TaskState>,
     /// Whether a panic in this process has been delivered to a joiner.
     panic_observed: bool,
@@ -144,7 +129,7 @@ struct Slot {
 /// See the [crate docs](crate) for the execution model and an example.
 pub struct Sim {
     cfg: SimConfig,
-    clock: Arc<AtomicU64>,
+    clock: Rc<Cell<u64>>,
     queue: EventQueue,
     procs: Vec<Slot>,
     sems: Vec<Semaphore>,
@@ -158,13 +143,10 @@ pub struct Sim {
     /// First fatal condition observed while dispatching (e.g. a stalled
     /// flow); checked after every event and terminates the run loudly.
     fatal: Option<SimError>,
-    yields: Arc<Rendezvous<(u32, YieldMsg)>>,
-    pool: WorkerPool,
     offload: OffloadPool,
     events_dispatched: u64,
     live_now: usize,
     peak_live: usize,
-    finished: bool,
 }
 
 impl std::fmt::Debug for Sim {
@@ -191,12 +173,9 @@ impl Sim {
 
     /// Creates a simulation with the given configuration.
     pub fn with_config(cfg: SimConfig) -> Self {
-        let clock = Arc::new(AtomicU64::new(0));
-        let yields: Arc<Rendezvous<(u32, YieldMsg)>> = Arc::new(Rendezvous::new());
-        let pool = WorkerPool::new(cfg.stack_size, Arc::clone(&clock), Arc::clone(&yields));
         Sim {
             cfg,
-            clock,
+            clock: Rc::new(Cell::new(0)),
             queue: EventQueue::new(),
             procs: Vec::new(),
             sems: Vec::new(),
@@ -206,19 +185,16 @@ impl Sim {
             flow_event: None,
             tick_woken: Vec::new(),
             fatal: None,
-            yields,
-            pool,
             offload: OffloadPool::new(),
             events_dispatched: 0,
             live_now: 0,
             peak_live: 0,
-            finished: false,
         }
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(Ordering::SeqCst))
+        SimTime::from_nanos(self.clock.get())
     }
 
     /// Creates a semaphore before the run starts (services use this during
@@ -242,36 +218,24 @@ impl Sim {
         self.flownet.add_link(capacity)
     }
 
-    /// Spawns a thread-backed root process that starts at the current
-    /// virtual time. Prefer [`Sim::spawn_task`] for new code; this is the
-    /// bridge for bodies that block the host thread.
-    pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> ProcessId
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        let pid = self.create_process(name.into(), ProcessBody::Blocking(Box::new(body)));
-        self.queue.schedule(self.now(), Wake::Process(pid.0));
-        pid
-    }
-
-    /// Spawns a stackless root process that starts at the current virtual
-    /// time. `f` receives the process's owned [`Ctx`] and returns its
-    /// future; the future is created and polled on the scheduler thread
-    /// and costs no OS thread while suspended.
+    /// Spawns a root process that starts at the current virtual time. `f`
+    /// receives the process's owned [`Ctx`] and returns its future; the
+    /// future is created and polled on the scheduler thread and costs a
+    /// small heap allocation while suspended.
     pub fn spawn_task<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
     where
-        F: FnOnce(Ctx) -> Fut + Send + 'static,
+        F: FnOnce(Ctx) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         let body: TaskFn = Box::new(move |ctx| Box::pin(f(ctx)) as LocalBoxFuture<'static, ()>);
-        let pid = self.create_process(name.into(), ProcessBody::Task(body));
+        let pid = self.create_process(name.into(), body);
         self.queue.schedule(self.now(), Wake::Process(pid.0));
         pid
     }
 
-    /// Registers a process slot. No OS thread and no future is involved
-    /// until the process first wakes — see [`Sim::run_process`].
-    fn create_process(&mut self, name: String, body: ProcessBody) -> ProcessId {
+    /// Registers a process slot. No future exists until the process first
+    /// wakes — see [`Sim::run_process`].
+    fn create_process(&mut self, name: String, body: TaskFn) -> ProcessId {
         let pid = ProcessId(self.procs.len() as u32);
         self.procs.push(Slot {
             name: name.into(),
@@ -279,7 +243,6 @@ impl Sim {
             resume_with: ResumeMsg::Go,
             join_waiters: Vec::new(),
             body: Some(body),
-            worker: None,
             task: None,
             panic_observed: false,
         });
@@ -297,7 +260,7 @@ impl Sim {
     pub fn run(mut self) -> Result<SimReport, SimError> {
         while let Some((time, wake)) = self.queue.pop() {
             debug_assert!(time >= self.now(), "time must be monotone");
-            self.clock.store(time.as_nanos(), Ordering::SeqCst);
+            self.clock.set(time.as_nanos());
             self.events_dispatched += 1;
             match wake {
                 Wake::Process(pidx) => self.run_process(pidx),
@@ -328,11 +291,9 @@ impl Sim {
                 }
             }
             if let Some(err) = self.fatal.take() {
-                self.teardown();
                 return Err(err);
             }
         }
-        self.finished = true;
         let end_time = self.now();
         // Surface unobserved panics.
         for slot in &self.procs {
@@ -342,7 +303,6 @@ impl Sim {
                         process: slot.name.to_string(),
                         message: message.clone(),
                     };
-                    self.teardown();
                     return Err(err);
                 }
             }
@@ -355,19 +315,15 @@ impl Sim {
             .map(|s| s.name.to_string())
             .collect();
         if !blocked.is_empty() {
-            self.teardown();
             return Err(SimError::Deadlock { blocked });
         }
-        let report = SimReport {
+        Ok(SimReport {
             end_time,
             processes: self.procs.len(),
             events: self.events_dispatched,
             peak_live_processes: self.peak_live,
-            pool_workers: self.pool.worker_count(),
             offload_workers: self.offload.worker_count(),
-        };
-        self.teardown();
-        Ok(report)
+        })
     }
 
     fn schedule_wake(&mut self, pidx: u32) {
@@ -409,113 +365,62 @@ impl Sim {
     /// Resumes process `pidx` and services its requests until it blocks or
     /// finishes.
     ///
-    /// On a process's first wake it is bound to its backing: a stackless
-    /// body becomes a future polled in place, a blocking body is handed
-    /// to a pool worker (an idle thread is reused if one exists,
-    /// otherwise the pool grows by one). Binding lazily means processes
-    /// that are spawned but never scheduled cost nothing, and the thread
-    /// pool's size tracks the *peak* number of concurrently live blocking
-    /// bodies, not the total spawned.
+    /// On a process's first wake its body creates the future, which is
+    /// then polled in place. Creating futures lazily means processes that
+    /// are spawned but never scheduled cost only their boxed body.
     fn run_process(&mut self, pidx: u32) {
         let pi = pidx as usize;
         if matches!(self.procs[pi].state, PState::Finished(_)) {
             return;
         }
-        if self.procs[pi].worker.is_none() && self.procs[pi].task.is_none() {
-            // First wake: bind the body.
+        if self.procs[pi].task.is_none() {
+            // First wake: create the future.
             debug_assert!(
                 matches!(self.procs[pi].resume_with, ResumeMsg::Go),
                 "first wake must be a plain Go"
             );
-            match self.procs[pi]
+            let f = self.procs[pi]
                 .body
                 .take()
-                .expect("unbound process has no body")
-            {
-                ProcessBody::Blocking(body) => {
-                    let job = Job {
-                        pid: ProcessId(pidx),
-                        name: Arc::clone(&self.procs[pi].name),
-                        body,
-                        seed: self.cfg.seed,
-                    };
-                    let widx = self.pool.run(job);
-                    self.procs[pi].worker = Some(widx);
-                    self.pump_thread(pidx);
-                }
-                ProcessBody::Task(f) => {
-                    let cell = Rc::new(OpCell::default());
-                    let ctx = Ctx::new_task(
-                        ProcessId(pidx),
-                        Arc::clone(&self.procs[pi].name),
-                        Arc::clone(&self.clock),
-                        Rc::clone(&cell),
-                        self.cfg.seed,
-                    );
-                    // Creating the future runs no user code (that happens
-                    // at first poll, below).
-                    let future = f(ctx);
-                    self.procs[pi].task = Some(TaskState {
-                        future: Some(future),
-                        cell,
-                    });
-                    self.poll_task(pidx);
-                }
-            }
+                .expect("unstarted process has no body");
+            let cell = Rc::new(OpCell::default());
+            let ctx = Ctx::new(
+                ProcessId(pidx),
+                Arc::clone(&self.procs[pi].name),
+                Rc::clone(&self.clock),
+                Rc::clone(&cell),
+                self.cfg.seed,
+            );
+            // Creating the future runs no user code (that happens at first
+            // poll, below).
+            let future = f(ctx);
+            self.procs[pi].task = Some(TaskState {
+                future: Some(future),
+                cell,
+            });
+            self.poll_task(pidx);
             return;
         }
-        let msg = std::mem::replace(&mut self.procs[pi].resume_with, ResumeMsg::Go);
-        if let Some(widx) = self.procs[pi].worker {
-            self.pool.resume(widx, msg);
-            self.pump_thread(pidx);
-        } else {
-            // A bound, unfinished task is always suspended in exactly one
-            // op; deliver the answer it is waiting for, then poll. Offload
-            // results are collected here — at the virtual-time deadline —
-            // so host completion order never reorders events.
-            let msg = match msg {
-                ResumeMsg::OffloadWait(token) => ResumeMsg::OffloadDone(self.offload.wait(token)),
-                m => m,
-            };
-            {
-                let cell = &self.procs[pi]
-                    .task
-                    .as_ref()
-                    .expect("bound task has state")
-                    .cell;
-                let prev = cell.reply.borrow_mut().replace(msg);
-                debug_assert!(prev.is_none(), "task woken with a stale reply pending");
-            }
-            self.poll_task(pidx);
-        }
+        // A started, unfinished process is always suspended in exactly one
+        // op; deliver the answer it is waiting for, then poll. Offload
+        // results are collected here — at the virtual-time deadline — so
+        // host completion order never reorders events.
+        let msg = match std::mem::replace(&mut self.procs[pi].resume_with, ResumeMsg::Go) {
+            ResumeMsg::OffloadWait(token) => ResumeMsg::OffloadDone(self.offload.wait(token)),
+            m => m,
+        };
+        self.reply(pidx, msg);
+        self.poll_task(pidx);
     }
 
-    /// Services a thread-backed process's yields until it blocks or
-    /// finishes (the worker thread runs; this thread waits in `recv`).
-    fn pump_thread(&mut self, pidx: u32) {
-        loop {
-            let (from, msg) = self.yields.recv();
-            debug_assert_eq!(from, pidx, "yield from unexpected process");
-            match self.handle_yield(pidx, msg) {
-                Flow::Continue => continue,
-                Flow::Blocked => {
-                    self.procs[pidx as usize].state = PState::Blocked;
-                    break;
-                }
-                Flow::Done => break,
-            }
-        }
-    }
-
-    /// Polls a stackless process's future, servicing the op it deposits
-    /// on each suspension, until it blocks in virtual time, finishes, or
-    /// panics.
+    /// Polls a process's future, servicing the op it deposits on each
+    /// suspension, until it blocks in virtual time, finishes, or panics.
     fn poll_task(&mut self, pidx: u32) {
         loop {
             let ts = self.procs[pidx as usize]
                 .task
                 .as_mut()
-                .expect("poll_task on a non-task process");
+                .expect("poll_task on an unstarted process");
             let mut future = ts.future.take().expect("task future missing");
             let mut cx = PollContext::from_waker(Waker::noop());
             let polled =
@@ -532,19 +437,15 @@ impl Sim {
                         self.procs[pidx as usize].task = None;
                         self.finish_process(
                             pidx,
-                            Err("stackless process suspended outside a simulation op \
+                            Err("process suspended outside a simulation op \
                                  (awaited a non-simulation future)"
                                 .to_string()),
                         );
                         return;
                     };
-                    match self.handle_yield(pidx, msg) {
-                        Flow::Continue => continue,
-                        Flow::Blocked => {
-                            self.procs[pidx as usize].state = PState::Blocked;
-                            return;
-                        }
-                        Flow::Done => unreachable!("tasks finish by returning, not yielding"),
+                    if !self.handle_yield(pidx, msg) {
+                        self.procs[pidx as usize].state = PState::Blocked;
+                        return;
                     }
                 }
                 Ok(Poll::Ready(())) => {
@@ -563,42 +464,40 @@ impl Sim {
         }
     }
 
-    /// Delivers a scheduler reply to a running process: through the pool
-    /// rendezvous for thread-backed bodies, into the op mailbox for
-    /// stackless ones (consumed on the next poll).
+    /// Delivers a scheduler reply into a started process's op mailbox,
+    /// consumed on its next poll.
     fn reply(&self, pidx: u32, msg: ResumeMsg) {
-        let slot = &self.procs[pidx as usize];
-        if let Some(widx) = slot.worker {
-            self.pool.resume(widx, msg);
-        } else if let Some(ts) = &slot.task {
-            let prev = ts.cell.reply.borrow_mut().replace(msg);
-            debug_assert!(prev.is_none(), "task replied to twice");
-        } else {
-            panic!("reply to a process that never ran");
-        }
+        let ts = self.procs[pidx as usize]
+            .task
+            .as_ref()
+            .expect("reply to a process that never ran");
+        let prev = ts.cell.reply.borrow_mut().replace(msg);
+        debug_assert!(prev.is_none(), "process replied to twice");
     }
 
-    fn handle_yield(&mut self, pidx: u32, msg: YieldMsg) -> Flow {
+    /// Services one op. Returns `true` if the process may continue at the
+    /// current instant, `false` if it is now blocked in virtual time.
+    fn handle_yield(&mut self, pidx: u32, msg: YieldMsg) -> bool {
         let now = self.now();
         match msg {
             YieldMsg::Sleep(d) => {
                 self.procs[pidx as usize].resume_with = ResumeMsg::Go;
                 self.queue.schedule(now + d, Wake::Process(pidx));
-                Flow::Blocked
+                false
             }
             YieldMsg::SemCreate(permits) => {
                 let id = SemId(self.sems.len() as u32);
                 self.sems.push(Semaphore::new(permits));
                 self.reply(pidx, ResumeMsg::Sem(id));
-                Flow::Continue
+                true
             }
             YieldMsg::SemAcquire(id, n) => {
                 if self.sems[id.0 as usize].acquire(pidx, n) {
                     self.reply(pidx, ResumeMsg::Go);
-                    Flow::Continue
+                    true
                 } else {
                     self.procs[pidx as usize].resume_with = ResumeMsg::Go;
-                    Flow::Blocked
+                    false
                 }
             }
             YieldMsg::SemRelease(id, n) => {
@@ -608,42 +507,42 @@ impl Sim {
                     self.schedule_wake(w);
                 }
                 self.reply(pidx, ResumeMsg::Go);
-                Flow::Continue
+                true
             }
             YieldMsg::LimiterCreate { rate, burst } => {
                 let id = LimiterId(self.limiters.len() as u32);
                 self.limiters.push(RateLimiter::new(rate, burst));
                 self.limiter_events.push(None);
                 self.reply(pidx, ResumeMsg::Limiter(id));
-                Flow::Continue
+                true
             }
             YieldMsg::LimiterAcquire(id, tokens) => {
                 if self.limiters[id.0 as usize].acquire(now, pidx, tokens) {
                     self.reply(pidx, ResumeMsg::Go);
-                    Flow::Continue
+                    true
                 } else {
                     self.procs[pidx as usize].resume_with = ResumeMsg::Go;
                     self.reschedule_limiter_tick(id.0);
-                    Flow::Blocked
+                    false
                 }
             }
             YieldMsg::LinkCreate(bw) => {
                 let id = self.flownet.add_link(bw);
                 self.reply(pidx, ResumeMsg::Link(id));
-                Flow::Continue
+                true
             }
             YieldMsg::Transfer(spec) => {
                 self.flownet.start(now, spec, pidx);
                 self.procs[pidx as usize].resume_with = ResumeMsg::Go;
                 self.check_flow_stall();
                 self.reschedule_flow_tick();
-                Flow::Blocked
+                false
             }
             YieldMsg::Spawn { name, body } => {
                 let pid = self.create_process(name, body);
                 self.queue.schedule(now, Wake::Process(pid.0));
                 self.reply(pidx, ResumeMsg::Pid(pid));
-                Flow::Continue
+                true
             }
             YieldMsg::Join(target) => {
                 assert!(
@@ -659,11 +558,11 @@ impl Sim {
                     Some(res) => {
                         let jr = self.join_result(target, res);
                         self.reply(pidx, ResumeMsg::JoinResult(jr));
-                        Flow::Continue
+                        true
                     }
                     None => {
                         self.procs[target.index()].join_waiters.push(pidx);
-                        Flow::Blocked
+                        false
                     }
                 }
             }
@@ -676,24 +575,15 @@ impl Sim {
                 let token = self.offload.submit(job);
                 self.procs[pidx as usize].resume_with = ResumeMsg::OffloadWait(token);
                 self.queue.schedule(now + d, Wake::Process(pidx));
-                Flow::Blocked
-            }
-            YieldMsg::Finished(result) => {
-                self.finish_process(pidx, result);
-                Flow::Done
+                false
             }
         }
     }
 
-    /// Marks `pidx` finished, releases its backing, and wakes joiners.
+    /// Marks `pidx` finished and wakes joiners. Its future was already
+    /// dropped by the caller.
     fn finish_process(&mut self, pidx: u32, result: Result<(), String>) {
         let slot = &mut self.procs[pidx as usize];
-        // A thread-backed worker is heading back to its command channel;
-        // return it to the idle stack for immediate reuse (no join). Task
-        // futures were already dropped by the caller.
-        if let Some(widx) = slot.worker.take() {
-            self.pool.release(widx);
-        }
         slot.state = PState::Finished(result.clone());
         self.live_now -= 1;
         let waiters = std::mem::take(&mut self.procs[pidx as usize].join_waiters);
@@ -716,43 +606,6 @@ impl Sim {
             }
         }
     }
-
-    /// Unwinds every still-bound blocking process body, then exits and
-    /// joins the pool and offload threads.
-    ///
-    /// At this point the scheduler is not servicing yields, so every bound,
-    /// unfinished thread-backed process is parked on its worker's resume
-    /// channel; the [`ResumeMsg::Shutdown`] reply makes the body unwind
-    /// quietly and the worker fall through to its command channel, where
-    /// the pool's `Exit` awaits. Stackless processes need no unwinding —
-    /// their suspended futures (and never-started bodies) are simply
-    /// dropped with the slot.
-    fn teardown(&mut self) {
-        for slot in &mut self.procs {
-            if !matches!(slot.state, PState::Finished(_)) {
-                if let Some(widx) = slot.worker.take() {
-                    self.pool.resume(widx, ResumeMsg::Shutdown);
-                }
-            }
-            slot.task = None;
-        }
-        self.pool.shutdown();
-        self.offload.shutdown();
-    }
-}
-
-impl Drop for Sim {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.teardown();
-        }
-    }
-}
-
-enum Flow {
-    Continue,
-    Blocked,
-    Done,
 }
 
 #[cfg(test)]
@@ -760,6 +613,7 @@ mod tests {
     use super::*;
     use crate::units::{Bandwidth, ByteSize, SimDuration};
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     #[test]
@@ -994,10 +848,7 @@ mod tests {
         fn draw(seed: u64) -> u64 {
             use rand::Rng;
             let out = Arc::new(Mutex::new(0u64));
-            let mut sim = Sim::with_config(SimConfig {
-                seed,
-                ..SimConfig::default()
-            });
+            let mut sim = Sim::with_config(SimConfig { seed });
             let out2 = Arc::clone(&out);
             sim.spawn_task("r", move |mut ctx| async move {
                 *out2.lock().unwrap() = ctx.rng().gen();

@@ -4,7 +4,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use bytes::Bytes;
-use faaspipe_des::{run_blocking, Ctx, LinkId, LocalBoxFuture};
+use faaspipe_des::{Ctx, LinkId, LocalBoxFuture};
 
 use crate::error::{ExchangeError, ExchangeParseError, ExchangeParseIssue};
 
@@ -210,16 +210,15 @@ impl ExchangeEnv {
 /// mapper's re-run re-writes the same partitions, a reducer may read the
 /// same partition twice.
 ///
-/// Backends implement the `*_async` methods (returning boxed local
-/// futures so the trait stays object-safe); the plain methods are
-/// blocking facades over them for thread-backed processes, and resolve
-/// eagerly there.
+/// Methods return boxed local futures so the trait stays object-safe.
 pub trait DataExchange: fmt::Debug + Send + Sync {
     /// A short stable name for traces and tables (e.g. `"cos"`,
     /// `"vm-relay"`, `"direct"`).
     fn name(&self) -> &'static str;
 
-    /// Async form of [`DataExchange::prepare`] for stackless processes.
+    /// Driver-side setup before the map phase: allocates bookkeeping for
+    /// a `maps` × `parts` exchange and provisions backing resources (the
+    /// VM-relay backend pays its provisioning delay here).
     fn prepare_async<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -227,14 +226,8 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         parts: usize,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
 
-    /// Driver-side setup before the map phase: allocates bookkeeping for
-    /// a `maps` × `parts` exchange and provisions backing resources (the
-    /// VM-relay backend pays its provisioning delay here).
-    fn prepare(&self, ctx: &mut Ctx, maps: usize, parts: usize) -> Result<(), ExchangeError> {
-        run_blocking(self.prepare_async(ctx, maps, parts))
-    }
-
-    /// Async form of [`DataExchange::write_partitions`].
+    /// Stores mapper `map`'s partitions (`parts[j]` goes to reducer
+    /// `j`). Returns the number of payload bytes written.
     fn write_partitions_async<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -243,22 +236,20 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         parts: Vec<Bytes>,
     ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>>;
 
-    /// Stores mapper `map`'s partitions (`parts[j]` goes to reducer
-    /// `j`). Returns the number of payload bytes written.
-    fn write_partitions(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        map: usize,
-        parts: Vec<Bytes>,
-    ) -> Result<u64, ExchangeError> {
-        run_blocking(self.write_partitions_async(ctx, env, map, parts))
-    }
-
-    /// Async form of [`DataExchange::write_run`]. The default
-    /// implementation reconstructs the dense partition vector (cheap
-    /// zero-copy [`Bytes::slice`]s of `run`, empty slots for absent
-    /// cuts) and delegates to
+    /// Stores mapper `map`'s partitions given as one contiguous `run`
+    /// buffer plus its sparse cut list: `cuts[i] = (part, offset, len)`
+    /// says partition `part` is `run[offset..offset + len]`, cuts are
+    /// part-ascending and non-overlapping, and every partition in
+    /// `0..parts_len` absent from `cuts` is empty. Equivalent to
+    /// [`DataExchange::write_partitions`] with the reconstructed dense
+    /// vector — same bytes on the wire, same virtual time — but a
+    /// backend that stores the concatenation anyway (the coalesced
+    /// object-store layout) does O(cuts) host work instead of
+    /// O(parts_len). Returns the number of payload bytes written.
+    ///
+    /// The default implementation reconstructs the dense partition vector
+    /// (cheap zero-copy [`Bytes::slice`]s of `run`, empty slots for
+    /// absent cuts) and delegates to
     /// [`write_partitions_async`](DataExchange::write_partitions_async),
     /// so every backend's store traffic — and therefore its virtual
     /// time — is exactly what the dense write produced. Backends whose
@@ -282,29 +273,7 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         })
     }
 
-    /// Stores mapper `map`'s partitions given as one contiguous `run`
-    /// buffer plus its sparse cut list: `cuts[i] = (part, offset, len)`
-    /// says partition `part` is `run[offset..offset + len]`, cuts are
-    /// part-ascending and non-overlapping, and every partition in
-    /// `0..parts_len` absent from `cuts` is empty. Equivalent to
-    /// [`DataExchange::write_partitions`] with the reconstructed dense
-    /// vector — same bytes on the wire, same virtual time — but a
-    /// backend that stores the concatenation anyway (the coalesced
-    /// object-store layout) does O(cuts) host work instead of
-    /// O(parts_len). Returns the number of payload bytes written.
-    fn write_run(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        map: usize,
-        run: Bytes,
-        cuts: Vec<(u32, u64, u64)>,
-        parts_len: usize,
-    ) -> Result<u64, ExchangeError> {
-        run_blocking(self.write_run_async(ctx, env, map, run, cuts, parts_len))
-    }
-
-    /// Async form of [`DataExchange::read_partition`].
+    /// Fetches the partition mapper `map` wrote for reducer `part`.
     fn read_partition_async<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -313,20 +282,16 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         part: usize,
     ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>>;
 
-    /// Fetches the partition mapper `map` wrote for reducer `part`.
-    fn read_partition(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        map: usize,
-        part: usize,
-    ) -> Result<Bytes, ExchangeError> {
-        run_blocking(self.read_partition_async(ctx, env, map, part))
-    }
-
-    /// Async form of [`DataExchange::read_partitions`]. The default
-    /// implementation is a sequential loop; backends override it to keep
-    /// up to `env.io_window` requests in flight concurrently.
+    /// Fetches a batch of partitions, `reqs[i] = (map, part)`, returning
+    /// the payloads in request order.
+    ///
+    /// Backends keep up to `env.io_window` requests in flight
+    /// concurrently (sharing the caller's NIC links); with
+    /// `env.io_window <= 1` every implementation must fall back to the
+    /// exact sequential behavior.
+    ///
+    /// The default implementation is a sequential loop; backends override
+    /// it to keep up to `env.io_window` requests in flight concurrently.
     fn read_partitions_async<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -342,27 +307,26 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         })
     }
 
-    /// Fetches a batch of partitions, `reqs[i] = (map, part)`, returning
-    /// the payloads in request order.
+    /// A reducer's whole-column gather: the non-empty runs of partition
+    /// `part` from mappers `0..maps`, in ascending mapper order.
     ///
-    /// Backends keep up to `env.io_window` requests in flight
-    /// concurrently (sharing the caller's NIC links); with
-    /// `env.io_window <= 1` every implementation must fall back to the
-    /// exact sequential behavior.
-    fn read_partitions(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        reqs: &[(usize, usize)],
-    ) -> Result<Vec<Bytes>, ExchangeError> {
-        run_blocking(self.read_partitions_async(ctx, env, reqs))
-    }
-
-    /// Async form of [`DataExchange::read_gather`]. The default
-    /// implementation is the dense batch read over `(m, part)` for every
-    /// `m < maps` with the zero-length runs dropped afterwards; backends
-    /// whose bookkeeping knows which partitions are empty override it to
-    /// do work proportional to the *non-empty* runs only.
+    /// Virtual time is identical to reading the column with
+    /// [`DataExchange::read_partitions`] — the same store requests go
+    /// out, over the same windowed schedule — but the return value skips
+    /// zero-length runs, so a W-wide gather whose column holds k
+    /// non-empty partitions costs O(k) host work on backends that
+    /// override it, not O(W). Dropping empty runs is merge-neutral: a
+    /// k-way merge's output never depends on the empty runs' positions.
+    ///
+    /// The default implementation is the dense batch read over
+    /// `(m, part)` for every `m < maps` with the zero-length runs dropped
+    /// afterwards; backends whose bookkeeping knows which partitions are
+    /// empty override it to do work proportional to the *non-empty* runs
+    /// only.
+    ///
+    /// # Errors
+    /// [`ExchangeError::MissingPartition`] if any mapper in `0..maps`
+    /// never wrote partition `part`.
     fn read_gather_async<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -377,54 +341,20 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         })
     }
 
-    /// A reducer's whole-column gather: the non-empty runs of partition
-    /// `part` from mappers `0..maps`, in ascending mapper order.
-    ///
-    /// Virtual time is identical to reading the column with
-    /// [`DataExchange::read_partitions`] — the same store requests go
-    /// out, over the same windowed schedule — but the return value skips
-    /// zero-length runs, so a W-wide gather whose column holds k
-    /// non-empty partitions costs O(k) host work on backends that
-    /// override it, not O(W). Dropping empty runs is merge-neutral: a
-    /// k-way merge's output never depends on the empty runs' positions.
-    ///
-    /// # Errors
-    /// [`ExchangeError::MissingPartition`] if any mapper in `0..maps`
-    /// never wrote partition `part`.
-    fn read_gather(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        maps: usize,
-        part: usize,
-    ) -> Result<Vec<Bytes>, ExchangeError> {
-        run_blocking(self.read_gather_async(ctx, env, maps, part))
-    }
-
-    /// Async form of [`DataExchange::list`].
+    /// Lists the exchange's current intermediate objects (diagnostic).
     fn list_async<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>>;
 
-    /// Lists the exchange's current intermediate objects (diagnostic).
-    fn list(&self, ctx: &mut Ctx, env: &ExchangeEnv) -> Result<Vec<String>, ExchangeError> {
-        run_blocking(self.list_async(ctx, env))
-    }
-
-    /// Async form of [`DataExchange::cleanup`].
+    /// Driver-side teardown after the reduce phase: releases backing
+    /// resources (the VM-relay backend stops its billing clock here).
     fn cleanup_async<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
-
-    /// Driver-side teardown after the reduce phase: releases backing
-    /// resources (the VM-relay backend stops its billing clock here).
-    fn cleanup(&self, ctx: &mut Ctx, env: &ExchangeEnv) -> Result<(), ExchangeError> {
-        run_blocking(self.cleanup_async(ctx, env))
-    }
 }
 
 #[cfg(test)]

@@ -22,28 +22,12 @@ const BACKOFF_BASE: SimDuration = SimDuration::from_millis(10);
 /// jitter).
 const BACKOFF_CAP: SimDuration = SimDuration::from_millis(5_000);
 
-/// Retries `op` up to `attempts` times on [retryable](Retryable) errors,
+/// Retries the async closure `op` up to `attempts` times on
+/// [retryable](Retryable) errors, re-invoking it per attempt and
 /// sleeping an exponentially growing, jittered backoff in **virtual
 /// time** between attempts. The jitter is drawn from the calling
 /// process's deterministic DES rng, so same-seed runs retry identically.
 /// Non-retryable errors surface immediately.
-///
-/// # Errors
-/// The last retryable error if every attempt failed, or the first
-/// non-retryable error.
-pub fn with_retry<T, E: Retryable>(
-    ctx: &mut Ctx,
-    attempts: u32,
-    mut op: impl FnMut(&mut Ctx) -> Result<T, E>,
-) -> Result<T, E> {
-    faaspipe_des::run_blocking(with_retry_async(ctx, attempts, async move |c: &mut Ctx| {
-        op(c)
-    }))
-}
-
-/// Async form of [`with_retry`] for stackless processes: `op` is an
-/// async closure re-invoked per attempt, with the same deterministic
-/// jittered virtual-time backoff between attempts.
 ///
 /// # Errors
 /// The last retryable error if every attempt failed, or the first

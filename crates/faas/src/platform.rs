@@ -7,9 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::Rng;
 
-use faaspipe_des::{
-    catch_unwind_future, run_blocking, Ctx, LinkId, ProcessId, SemId, Sim, SimDuration, SimTime,
-};
+use faaspipe_des::{catch_unwind_future, Ctx, LinkId, ProcessId, SemId, Sim, SimDuration, SimTime};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::FaasConfig;
@@ -77,11 +75,6 @@ pub struct FunctionEnv {
 impl FunctionEnv {
     /// Charges `work` of single-vCPU compute time, scaled by this
     /// instance's CPU share (half a vCPU takes twice as long).
-    pub fn compute(&self, ctx: &Ctx, work: SimDuration) {
-        run_blocking(self.compute_async(ctx, work));
-    }
-
-    /// Async form of [`FunctionEnv::compute`] for stackless processes.
     pub async fn compute_async(&self, ctx: &Ctx, work: SimDuration) {
         let span = self.compute_span(ctx);
         ctx.compute_async(work.mul_f64(1.0 / self.cpu_share)).await;
@@ -222,13 +215,13 @@ impl FunctionPlatform {
         self.pool.lock().clear();
     }
 
-    /// Invokes `function` asynchronously from the calling process and
-    /// returns the child process id; `ctx.join` it to rendezvous.
+    /// Invokes `function` from the calling process and returns the child
+    /// process id; `ctx.join_async` it to rendezvous.
     ///
     /// The invocation acquires a platform concurrency slot (FIFO), pays a
     /// cold or warm start, runs `body`, then parks its container back in
     /// the warm pool.
-    pub fn invoke_async<F>(
+    pub async fn invoke_task<F>(
         self: &Arc<Self>,
         ctx: &Ctx,
         function: impl Into<String>,
@@ -236,7 +229,7 @@ impl FunctionPlatform {
         body: F,
     ) -> ProcessId
     where
-        F: FnOnce(&mut Ctx, &FunctionEnv) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
     {
         let platform = Arc::clone(self);
         let function = function.into();
@@ -248,67 +241,12 @@ impl FunctionPlatform {
         let trace = self.trace.lock().clone();
         let parent = trace.current(ctx.pid());
         let pname = format!("fn:{}:{}", function, tag);
-        ctx.spawn(pname, move |fctx| {
-            run_blocking(platform.run_invocation(
-                fctx,
-                function,
-                tag,
-                requested,
-                trace,
-                parent,
-                async move |c: &mut Ctx, env: FunctionEnv| body(c, &env),
-            ));
-        })
-    }
-
-    /// Invokes `function` as a **stackless task** and returns the child
-    /// process id; `ctx.join_async` it to rendezvous. Identical platform
-    /// semantics (and virtual-time schedule) to
-    /// [`FunctionPlatform::invoke_async`], but the invocation costs a
-    /// heap-allocated state machine instead of an OS thread — use this
-    /// form for wide fan-outs.
-    pub async fn invoke_task<F>(
-        self: &Arc<Self>,
-        ctx: &Ctx,
-        function: impl Into<String>,
-        tag: impl Into<String>,
-        body: F,
-    ) -> ProcessId
-    where
-        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
-    {
-        let platform = Arc::clone(self);
-        let function = function.into();
-        let tag = tag.into();
-        let requested = ctx.now();
-        let trace = self.trace.lock().clone();
-        let parent = trace.current(ctx.pid());
-        let pname = format!("fn:{}:{}", function, tag);
         ctx.spawn_task(pname, move |mut fctx: Ctx| async move {
             platform
                 .run_invocation(&mut fctx, function, tag, requested, trace, parent, body)
                 .await;
         })
         .await
-    }
-
-    /// Invokes `function` and blocks the calling process until it returns.
-    ///
-    /// # Errors
-    /// Propagates a panic in the function body as a
-    /// [`JoinError`](faaspipe_des::JoinError).
-    pub fn invoke<F>(
-        self: &Arc<Self>,
-        ctx: &Ctx,
-        function: impl Into<String>,
-        tag: impl Into<String>,
-        body: F,
-    ) -> Result<(), faaspipe_des::JoinError>
-    where
-        F: FnOnce(&mut Ctx, &FunctionEnv) + Send + 'static,
-    {
-        let h = self.invoke_async(ctx, function, tag, body);
-        ctx.join(h)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -322,7 +260,7 @@ impl FunctionPlatform {
         parent: SpanId,
         body: F,
     ) where
-        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
     {
         let tracing = trace.is_enabled();
         let (inv, lane) = if tracing {
@@ -432,9 +370,7 @@ impl FunctionPlatform {
             trace.gauge("faas.running_containers", ctx.now(), r as f64);
         }
         if let Err(payload) = result {
-            if !faaspipe_des::is_shutdown_payload(payload.as_ref()) {
-                ctx.sem_release_async(self.concurrency, 1).await;
-            }
+            ctx.sem_release_async(self.concurrency, 1).await;
             if tracing {
                 trace.attr(inv, "failed", true);
                 trace.span_end(inv, ctx.now());
@@ -492,7 +428,7 @@ mod tests {
         body: F,
     ) -> Result<(), JoinError>
     where
-        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
     {
         let h = p.invoke_task(ctx, function, tag, body).await;
         ctx.join_async(h).await

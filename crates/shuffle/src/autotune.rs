@@ -237,18 +237,6 @@ impl Autotuner {
     ///
     /// # Errors
     /// Propagates store failures.
-    pub fn probe(
-        ctx: &mut Ctx,
-        store: &Arc<ObjectStore>,
-        bucket: &str,
-    ) -> Result<Autotuner, StoreError> {
-        faaspipe_des::run_blocking(Autotuner::probe_async(ctx, store, bucket))
-    }
-
-    /// Async form of [`Autotuner::probe`] for stackless processes.
-    ///
-    /// # Errors
-    /// Propagates store failures.
     pub async fn probe_async(
         ctx: &mut Ctx,
         store: &Arc<ObjectStore>,

@@ -67,21 +67,6 @@ impl SortManifest {
     ///
     /// # Errors
     /// Propagates the store failure.
-    pub fn write(
-        &self,
-        ctx: &mut Ctx,
-        client: &StoreClient,
-        bucket: &str,
-        key: &str,
-    ) -> Result<(), ShuffleError> {
-        client.put(ctx, bucket, key, Bytes::from(self.to_bytes()))?;
-        Ok(())
-    }
-
-    /// Async form of [`SortManifest::write`] for stackless processes.
-    ///
-    /// # Errors
-    /// Store failures surfaced by the PUT.
     pub async fn write_async(
         &self,
         ctx: &mut Ctx,

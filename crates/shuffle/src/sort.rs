@@ -304,22 +304,6 @@ fn split_chunks(assigned: &[(String, u64, u64)], k: usize, rec: u64) -> Vec<(Str
 /// # Errors
 /// [`ShuffleError`] on configuration problems, store failures that
 /// survive retries, or corrupt intermediate data.
-pub fn serverless_sort<R: SortRecord>(
-    ctx: &mut Ctx,
-    faas: &Arc<FunctionPlatform>,
-    store: &Arc<ObjectStore>,
-    cfg: &SortConfig,
-) -> Result<SortStats, ShuffleError> {
-    faaspipe_des::run_blocking(serverless_sort_async::<R>(ctx, faas, store, cfg))
-}
-
-/// Async form of [`serverless_sort`] for stackless (task-backed)
-/// drivers. The sync wrapper above is a [`faaspipe_des::run_blocking`]
-/// facade over this, so both flavors execute the identical virtual-time
-/// schedule.
-///
-/// # Errors
-/// Same contract as [`serverless_sort`].
 pub async fn serverless_sort_async<R: SortRecord>(
     ctx: &mut Ctx,
     faas: &Arc<FunctionPlatform>,

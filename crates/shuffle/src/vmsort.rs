@@ -98,19 +98,6 @@ impl VmSortStats {
 /// # Errors
 /// [`ShuffleError`] on configuration problems, store failures that
 /// survive retries, or corrupt input data.
-pub fn vm_sort<R: SortRecord>(
-    ctx: &mut Ctx,
-    fleet: &VmFleet,
-    store: &Arc<ObjectStore>,
-    cfg: &VmSortConfig,
-) -> Result<VmSortStats, ShuffleError> {
-    faaspipe_des::run_blocking(vm_sort_async::<R>(ctx, fleet, store, cfg))
-}
-
-/// Async form of [`vm_sort`] for stackless processes.
-///
-/// # Errors
-/// Same as [`vm_sort`].
 pub async fn vm_sort_async<R: SortRecord>(
     ctx: &mut Ctx,
     fleet: &VmFleet,

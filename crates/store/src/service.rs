@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe_des::{run_blocking, ByteSize, Ctx, LimiterId, LinkId, Sim, SimTime};
+use faaspipe_des::{ByteSize, Ctx, LimiterId, LinkId, Sim, SimTime};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::StoreConfig;
@@ -101,11 +101,6 @@ impl ObjectStore {
     /// Opens a connection from the calling process, tagged for metrics
     /// attribution. The connection gets its own per-connection bandwidth
     /// link.
-    pub fn connect(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
-        run_blocking(self.connect_async(ctx, tag))
-    }
-
-    /// Async form of [`ObjectStore::connect`] for stackless processes.
     pub async fn connect_async(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
         self.connect_via_async(ctx, tag, &[]).await
     }
@@ -113,16 +108,6 @@ impl ObjectStore {
     /// Like [`ObjectStore::connect`], but transfers additionally traverse
     /// `host_links` (e.g. the NIC of the function container or VM issuing
     /// the requests).
-    pub fn connect_via(
-        self: &Arc<Self>,
-        ctx: &Ctx,
-        tag: impl Into<String>,
-        host_links: &[LinkId],
-    ) -> StoreClient {
-        run_blocking(self.connect_via_async(ctx, tag, host_links))
-    }
-
-    /// Async form of [`ObjectStore::connect_via`] for stackless processes.
     pub async fn connect_via_async(
         self: &Arc<Self>,
         ctx: &Ctx,
@@ -418,17 +403,6 @@ impl StoreClient {
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown;
     /// [`StoreError::Injected`] under fault injection.
-    pub fn put(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.put_async(ctx, bucket, key, data))
-    }
-
-    /// Async form of [`StoreClient::put`] for stackless processes.
     pub async fn put_async(
         &self,
         ctx: &mut Ctx,
@@ -479,17 +453,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::PreconditionFailed`] if the key already exists.
-    pub fn put_if_absent(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.put_if_absent_async(ctx, bucket, key, data))
-    }
-
-    /// Async form of [`StoreClient::put_if_absent`] for stackless processes.
     pub async fn put_if_absent_async(
         &self,
         ctx: &mut Ctx,
@@ -546,18 +509,6 @@ impl StoreClient {
     /// [`StoreError::PreconditionFailed`] when the stored ETag differs or
     /// the key is missing; the usual lookup and injection errors
     /// otherwise.
-    pub fn put_if_match(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        expected_etag: u64,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.put_if_match_async(ctx, bucket, key, expected_etag, data))
-    }
-
-    /// Async form of [`StoreClient::put_if_match`] for stackless processes.
     pub async fn put_if_match_async(
         &self,
         ctx: &mut Ctx,
@@ -611,11 +562,6 @@ impl StoreClient {
     /// # Errors
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when
     /// missing; [`StoreError::Injected`] under fault injection.
-    pub fn get(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
-        run_blocking(self.get_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::get`] for stackless processes.
     pub async fn get_async(
         &self,
         ctx: &mut Ctx,
@@ -646,18 +592,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::InvalidRange`] if the range exceeds the object.
-    pub fn get_range(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<Bytes, StoreError> {
-        run_blocking(self.get_range_async(ctx, bucket, key, offset, len))
-    }
-
-    /// Async form of [`StoreClient::get_range`] for stackless processes.
     pub async fn get_range_async(
         &self,
         ctx: &mut Ctx,
@@ -718,16 +652,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when missing.
-    pub fn head(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<ObjectSummary, StoreError> {
-        run_blocking(self.head_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::head`] for stackless processes.
     pub async fn head_async(
         &self,
         ctx: &mut Ctx,
@@ -770,11 +694,6 @@ impl StoreClient {
     /// # Errors
     /// Only infrastructure errors ([`StoreError::Injected`],
     /// [`StoreError::NoSuchBucket`]) are returned.
-    pub fn exists(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<bool, StoreError> {
-        run_blocking(self.exists_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::exists`] for stackless processes.
     pub async fn exists_async(
         &self,
         ctx: &mut Ctx,
@@ -792,16 +711,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn list(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        prefix: &str,
-    ) -> Result<Vec<ObjectSummary>, StoreError> {
-        run_blocking(self.list_async(ctx, bucket, prefix))
-    }
-
-    /// Async form of [`StoreClient::list`] for stackless processes.
     pub async fn list_async(
         &self,
         ctx: &mut Ctx,
@@ -846,18 +755,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn list_page(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        prefix: &str,
-        start_after: &str,
-        max_keys: usize,
-    ) -> Result<(Vec<ObjectSummary>, Option<String>), StoreError> {
-        run_blocking(self.list_page_async(ctx, bucket, prefix, start_after, max_keys))
-    }
-
-    /// Async form of [`StoreClient::list_page`] for stackless processes.
     pub async fn list_page_async(
         &self,
         ctx: &mut Ctx,
@@ -915,11 +812,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn delete(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<(), StoreError> {
-        run_blocking(self.delete_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::delete`] for stackless processes.
     pub async fn delete_async(
         &self,
         ctx: &mut Ctx,
@@ -953,18 +845,6 @@ impl StoreClient {
     /// # Errors
     /// Standard lookup errors for the source; [`StoreError::NoSuchBucket`]
     /// for the destination.
-    pub fn copy(
-        &self,
-        ctx: &mut Ctx,
-        src_bucket: &str,
-        src_key: &str,
-        dst_bucket: &str,
-        dst_key: &str,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.copy_async(ctx, src_bucket, src_key, dst_bucket, dst_key))
-    }
-
-    /// Async form of [`StoreClient::copy`] for stackless processes.
     pub async fn copy_async(
         &self,
         ctx: &mut Ctx,
@@ -1008,16 +888,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn create_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<MultipartUpload, StoreError> {
-        run_blocking(self.create_multipart_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::create_multipart`] for stackless processes.
     pub async fn create_multipart_async(
         &self,
         ctx: &mut Ctx,
@@ -1057,18 +927,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub fn upload_part(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-        part_number: u32,
-        data: Bytes,
-    ) -> Result<(), StoreError> {
-        run_blocking(self.upload_part_async(ctx, bucket, upload, part_number, data))
-    }
-
-    /// Async form of [`StoreClient::upload_part`] for stackless processes.
     pub async fn upload_part_async(
         &self,
         ctx: &mut Ctx,
@@ -1112,16 +970,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub fn complete_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.complete_multipart_async(ctx, bucket, upload))
-    }
-
-    /// Async form of [`StoreClient::complete_multipart`] for stackless processes.
     pub async fn complete_multipart_async(
         &self,
         ctx: &mut Ctx,
@@ -1168,16 +1016,6 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn abort_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-    ) -> Result<(), StoreError> {
-        run_blocking(self.abort_multipart_async(ctx, bucket, upload))
-    }
-
-    /// Async form of [`StoreClient::abort_multipart`] for stackless processes.
     pub async fn abort_multipart_async(
         &self,
         ctx: &mut Ctx,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use faaspipe_des::{run_blocking, Ctx, LinkId, SimDuration, SimTime};
+use faaspipe_des::{Ctx, LinkId, SimDuration, SimTime};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::profile::VmProfile;
@@ -55,11 +55,6 @@ pub struct VmInstance {
 
 impl VmInstance {
     /// Charges single-threaded compute time.
-    pub fn compute(&self, ctx: &Ctx, work: SimDuration) {
-        run_blocking(self.compute_async(ctx, work));
-    }
-
-    /// Async form of [`VmInstance::compute`] for stackless processes.
     pub async fn compute_async(&self, ctx: &Ctx, work: SimDuration) {
         let span = self.compute_span(ctx, 1);
         ctx.compute_async(work).await;
@@ -68,11 +63,6 @@ impl VmInstance {
 
     /// Charges `work` of single-vCPU compute parallelised across
     /// `threads` threads, with the profile's parallel efficiency.
-    pub fn compute_parallel(&self, ctx: &Ctx, work: SimDuration, threads: u32) {
-        run_blocking(self.compute_parallel_async(ctx, work, threads));
-    }
-
-    /// Async form of [`VmInstance::compute_parallel`].
     pub async fn compute_parallel_async(&self, ctx: &Ctx, work: SimDuration, threads: u32) {
         let span = self.compute_span(ctx, threads);
         ctx.compute_async(work.mul_f64(1.0 / self.profile.speedup(threads)))
@@ -184,11 +174,6 @@ impl VmFleet {
 
     /// Provisions an instance, blocking the calling process for the
     /// profile's provisioning delay. Billing starts at the request.
-    pub fn provision(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
-        run_blocking(self.provision_inner(ctx, profile, true))
-    }
-
-    /// Async form of [`VmFleet::provision`] for stackless processes.
     pub async fn provision_async(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
         self.provision_inner(ctx, profile, true).await
     }
@@ -198,11 +183,6 @@ impl VmFleet {
     /// does not claim the critical path. For capacity warmed in the
     /// background while other work runs: the caller attributes the
     /// *residual* wait it actually suffers at the point it blocks.
-    pub fn provision_prewarmed(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
-        run_blocking(self.provision_inner(ctx, profile, false))
-    }
-
-    /// Async form of [`VmFleet::provision_prewarmed`].
     pub async fn provision_prewarmed_async(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
         self.provision_inner(ctx, profile, false).await
     }
