@@ -36,8 +36,8 @@ fn bench_process_churn(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = Sim::new();
             for i in 0..200u64 {
-                sim.spawn_task(format!("p{}", i), move |ctx| async move {
-                    ctx.sleep_async(SimDuration::from_millis(i)).await;
+                sim.spawn(format!("p{}", i), move |ctx| async move {
+                    ctx.sleep(SimDuration::from_millis(i)).await;
                 });
             }
             sim.run().expect("sim ok")

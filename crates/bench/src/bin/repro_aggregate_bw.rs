@@ -74,21 +74,21 @@ fn functions_aggregate(consumers: usize) -> (f64, TraceData) {
     let faas = services.faas.clone();
     let store = services.store.clone();
     let span2 = Arc::clone(&span);
-    sim.spawn_task("driver", move |ctx| async move {
+    sim.spawn("driver", move |ctx| async move {
         let mut hs = Vec::with_capacity(consumers);
         for i in 0..consumers {
             let store = store.clone();
             let span = Arc::clone(&span2);
             let h = faas
-                .invoke_task(
+                .invoke(
                     &ctx,
                     "reader",
                     format!("bw/{}", i),
                     async move |fctx, env| {
-                        let client = store.connect_via_async(fctx, "bw", &[env.nic]).await;
+                        let client = store.connect_via(fctx, "bw", &[env.nic]).await;
                         let t0 = fctx.now();
                         client
-                            .get_async(fctx, "data", &format!("blob/{:04}", i))
+                            .get(fctx, "data", &format!("blob/{:04}", i))
                             .await
                             .expect("blob read");
                         let t1 = fctx.now();
@@ -100,7 +100,7 @@ fn functions_aggregate(consumers: usize) -> (f64, TraceData) {
                 .await;
             hs.push(h);
         }
-        ctx.join_all_async(&hs).await.expect("readers ok");
+        ctx.join_all(&hs).await.expect("readers ok");
     });
     sim.run().expect("sim ok");
     let (t0, t1) = *span.lock();
@@ -115,15 +115,15 @@ fn vm_single_connection(consumers: usize) -> f64 {
     let fleet = services.fleet.clone();
     let store = services.store.clone();
     let span2 = Arc::clone(&span);
-    sim.spawn_task("driver", move |mut ctx| async move {
+    sim.spawn("driver", move |mut ctx| async move {
         let vm = fleet
-            .provision_async(&ctx, faaspipe_vm::VmProfile::bx2_8x32())
+            .provision(&ctx, faaspipe_vm::VmProfile::bx2_8x32())
             .await;
-        let client = store.connect_via_async(&ctx, "vm-bw", &[vm.nic]).await;
+        let client = store.connect_via(&ctx, "vm-bw", &[vm.nic]).await;
         let t0 = ctx.now();
         for i in 0..consumers {
             client
-                .get_async(&mut ctx, "data", &format!("blob/{:04}", i))
+                .get(&mut ctx, "data", &format!("blob/{:04}", i))
                 .await
                 .expect("blob read");
         }

@@ -81,19 +81,19 @@ impl TenantGate {
 
     /// Blocks until the run may start: first a concurrency slot, then a
     /// rate token (so a queued run does not burn tokens while waiting).
-    pub async fn admit_async(&self, ctx: &Ctx) {
+    pub async fn admit(&self, ctx: &Ctx) {
         if let Some(sem) = self.sem {
-            ctx.sem_acquire_async(sem, 1).await;
+            ctx.sem_acquire(sem, 1).await;
         }
         if let Some(rate) = self.rate {
-            ctx.limiter_acquire_async(rate, 1.0).await;
+            ctx.limiter_acquire(rate, 1.0).await;
         }
     }
 
     /// Returns the concurrency slot when the run finishes.
-    pub async fn release_async(&self, ctx: &Ctx) {
+    pub async fn release(&self, ctx: &Ctx) {
         if let Some(sem) = self.sem {
-            ctx.sem_release_async(sem, 1).await;
+            ctx.sem_release(sem, 1).await;
         }
     }
 }
@@ -115,11 +115,11 @@ mod tests {
         let starts: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..3 {
             let starts = Arc::clone(&starts);
-            sim.spawn_task("run", move |ctx| async move {
-                gate.admit_async(&ctx).await;
+            sim.spawn("run", move |ctx| async move {
+                gate.admit(&ctx).await;
                 starts.lock().push(ctx.now());
-                ctx.sleep_async(SimDuration::from_secs(10)).await;
-                gate.release_async(&ctx).await;
+                ctx.sleep(SimDuration::from_secs(10)).await;
+                gate.release(&ctx).await;
             });
         }
         sim.run().expect("sim ok");
@@ -145,8 +145,8 @@ mod tests {
         let starts: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..3 {
             let starts = Arc::clone(&starts);
-            sim.spawn_task("run", move |ctx| async move {
-                gate.admit_async(&ctx).await;
+            sim.spawn("run", move |ctx| async move {
+                gate.admit(&ctx).await;
                 starts.lock().push(ctx.now());
             });
         }
@@ -166,9 +166,9 @@ mod tests {
         let mut sim = Sim::new();
         let gate = TenantGate::install(&mut sim, &AdmissionPolicy::unlimited());
         assert!(AdmissionPolicy::unlimited().is_unlimited());
-        sim.spawn_task("run", move |ctx| async move {
-            gate.admit_async(&ctx).await;
-            gate.release_async(&ctx).await;
+        sim.spawn("run", move |ctx| async move {
+            gate.admit(&ctx).await;
+            gate.release(&ctx).await;
             assert_eq!(ctx.now(), SimTime::ZERO);
         });
         sim.run().expect("sim ok");

@@ -19,8 +19,7 @@ use faaspipe_faas::FunctionPlatform;
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
 use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
 use faaspipe_shuffle::{
-    serverless_sort_async, vm_sort_async, Autotuner, SortConfig, SortRecord, VmSortConfig,
-    WorkModel,
+    serverless_sort, vm_sort, Autotuner, SortConfig, SortRecord, VmSortConfig, WorkModel,
 };
 use faaspipe_store::ObjectStore;
 use faaspipe_trace::Category;
@@ -75,7 +74,7 @@ fn workflow_root(pids: Vec<ProcessId>) -> (String, StageBody) {
     let body: StageBody = Box::new(move |ctx: &mut Ctx| {
         Box::pin(async move {
             for pid in pids {
-                let _ = ctx.join_async(pid).await;
+                let _ = ctx.join(pid).await;
             }
         }) as LocalBoxFuture<'_, ()>
     });
@@ -181,13 +180,13 @@ impl Executor {
         let mut pids = Vec::with_capacity(dag.len());
         for idx in 0..dag.len() {
             let (name, body) = self.stage_driver(dag, idx, &pids, &results);
-            pids.push(sim.spawn_task(
+            pids.push(sim.spawn(
                 name,
                 move |mut ctx: Ctx| async move { body(&mut ctx).await },
             ));
         }
         let (name, body) = workflow_root(pids);
-        let root = sim.spawn_task(
+        let root = sim.spawn(
             name,
             move |mut ctx: Ctx| async move { body(&mut ctx).await },
         );
@@ -197,18 +196,18 @@ impl Executor {
     /// Like [`Executor::spawn_dag`], but launched from *inside* a running
     /// simulation — the caller is a live process (a cluster's per-run
     /// driver) and the DAG starts at the current virtual time.
-    /// `ctx.join_async(handle.root)` to rendezvous with completion.
+    /// `ctx.join(handle.root)` to rendezvous with completion.
     ///
     /// # Panics
     /// Panics if the DAG fails validation.
-    pub async fn spawn_dag_in_async(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
+    pub async fn spawn_dag_in(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
         dag.validate().expect("DAG must be valid");
         let results = ResultMap::default();
         let mut pids = Vec::with_capacity(dag.len());
         for idx in 0..dag.len() {
             let (name, body) = self.stage_driver(dag, idx, &pids, &results);
             let pid = ctx
-                .spawn_task(
+                .spawn(
                     name,
                     move |mut ctx: Ctx| async move { body(&mut ctx).await },
                 )
@@ -217,7 +216,7 @@ impl Executor {
         }
         let (name, body) = workflow_root(pids);
         let root = ctx
-            .spawn_task(
+            .spawn(
                 name,
                 move |mut ctx: Ctx| async move { body(&mut ctx).await },
             )
@@ -262,7 +261,7 @@ impl Executor {
             Box::pin(async move {
                 // Wait for dependencies; skip if any failed.
                 for (pid, name) in dep_pids.iter().zip(&dep_names) {
-                    if ctx.join_async(*pid).await.is_err() {
+                    if ctx.join(*pid).await.is_err() {
                         results2.lock().insert(
                             stage2.name.clone(),
                             Err(format!("dependency driver '{}' crashed", name)),
@@ -309,7 +308,7 @@ impl Executor {
     async fn orchestrate(&self, ctx: &Ctx) {
         let trace = self.services.store.trace_sink();
         if !trace.is_enabled() {
-            ctx.sleep_async(self.orchestration).await;
+            ctx.sleep(self.orchestration).await;
             return;
         }
         let parent = trace.current(ctx.pid());
@@ -321,7 +320,7 @@ impl Executor {
             parent,
             ctx.now(),
         );
-        ctx.sleep_async(self.orchestration).await;
+        ctx.sleep(self.orchestration).await;
         trace.span_end(span, ctx.now());
     }
 
@@ -373,14 +372,10 @@ impl Executor {
                     release: true,
                     manifest_key: None,
                 };
-                let stats = vm_sort_async::<MethRecord>(
-                    ctx,
-                    &self.services.fleet,
-                    &self.services.store,
-                    &cfg,
-                )
-                .await
-                .map_err(|e| format!("vm sort failed: {}", e))?;
+                let stats =
+                    vm_sort::<MethRecord>(ctx, &self.services.fleet, &self.services.store, &cfg)
+                        .await
+                        .map_err(|e| format!("vm sort failed: {}", e))?;
                 self.tracker.note(
                     ctx,
                     &stage.name,
@@ -425,9 +420,9 @@ impl Executor {
     ) -> Result<(usize, u64), String> {
         self.orchestrate(ctx).await;
         let store = &self.services.store;
-        let client = store.connect_async(ctx, format!("{}/driver", stage)).await;
+        let client = store.connect(ctx, format!("{}/driver", stage)).await;
         let inputs = client
-            .list_async(ctx, bucket, input)
+            .list(ctx, bucket, input)
             .await
             .map_err(|e| format!("decode list failed: {}", e))?;
         if inputs.is_empty() {
@@ -454,29 +449,29 @@ impl Executor {
             let h = self
                 .services
                 .faas
-                .invoke_task(
+                .invoke(
                     ctx,
                     "decode",
                     format!("{}/dec", stage),
                     async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
                         let client = store
-                            .connect_via_async(fctx, format!("{}/dec", stage2), &[env.nic])
+                            .connect_via(fctx, format!("{}/dec", stage2), &[env.nic])
                             .await;
                         for key in &assigned {
                             let archive = client
-                                .get_async(fctx, &bucket, key)
+                                .get(fctx, &bucket, key)
                                 .await
                                 .unwrap_or_else(|e| panic!("decode read failed: {}", e));
                             let dataset = mc_codec::decompress(&archive)
                                 .unwrap_or_else(|e| panic!("archive corrupt: {}", e));
                             let data = SortRecord::write_all(&dataset.records);
-                            env.compute_async(fctx, work.methcomp_decode_time(data.len()))
+                            env.compute(fctx, work.methcomp_decode_time(data.len()))
                                 .await;
                             *written.lock() += data.len() as u64;
                             let leaf = key.rsplit('/').next().unwrap_or(key);
                             let out_key = format!("{}{}", output, leaf);
                             client
-                                .put_async(fctx, &bucket, &out_key, Bytes::from(data))
+                                .put(fctx, &bucket, &out_key, Bytes::from(data))
                                 .await
                                 .unwrap_or_else(|e| panic!("decode write failed: {}", e));
                         }
@@ -485,7 +480,7 @@ impl Executor {
                 .await;
             handles.push(h);
         }
-        ctx.join_all_async(&handles)
+        ctx.join_all(&handles)
             .await
             .map_err(|e| format!("decode task failed: {}", e))?;
         let bytes = *written.lock();
@@ -564,9 +559,9 @@ impl Executor {
         downstream_encode: usize,
     ) -> Result<Plan, String> {
         let store = &self.services.store;
-        let client = store.connect_async(ctx, format!("{}/plan", stage)).await;
+        let client = store.connect(ctx, format!("{}/plan", stage)).await;
         let inputs = client
-            .list_async(ctx, bucket, input)
+            .list(ctx, bucket, input)
             .await
             .map_err(|e| format!("plan list failed: {}", e))?;
         if inputs.is_empty() {
@@ -697,14 +692,12 @@ impl Executor {
             WorkerChoice::Fixed(n) => n,
             WorkerChoice::Auto => {
                 let store = &self.services.store;
-                let tuner = Autotuner::probe_async(ctx, store, bucket)
+                let tuner = Autotuner::probe(ctx, store, bucket)
                     .await
                     .map_err(|e| format!("autotune probe failed: {}", e))?;
-                let client = store
-                    .connect_async(ctx, format!("{}/autotune", stage))
-                    .await;
+                let client = store.connect(ctx, format!("{}/autotune", stage)).await;
                 let inputs = client
-                    .list_async(ctx, bucket, input)
+                    .list(ctx, bucket, input)
                     .await
                     .map_err(|e| format!("autotune list failed: {}", e))?;
                 let modeled: f64 = inputs
@@ -790,14 +783,10 @@ impl Executor {
             io_concurrency: io_concurrency.max(1),
             manifest_key: None,
         };
-        let stats = serverless_sort_async::<MethRecord>(
-            ctx,
-            &self.services.faas,
-            &self.services.store,
-            &cfg,
-        )
-        .await
-        .map_err(|e| format!("serverless sort failed: {}", e))?;
+        let stats =
+            serverless_sort::<MethRecord>(ctx, &self.services.faas, &self.services.store, &cfg)
+                .await
+                .map_err(|e| format!("serverless sort failed: {}", e))?;
         self.tracker.note(
             ctx,
             stage,
@@ -825,9 +814,9 @@ impl Executor {
     ) -> Result<(usize, u64), String> {
         self.orchestrate(ctx).await;
         let store = &self.services.store;
-        let client = store.connect_async(ctx, format!("{}/driver", stage)).await;
+        let client = store.connect(ctx, format!("{}/driver", stage)).await;
         let inputs = client
-            .list_async(ctx, bucket, input)
+            .list(ctx, bucket, input)
             .await
             .map_err(|e| format!("encode list failed: {}", e))?;
         if inputs.is_empty() {
@@ -854,17 +843,17 @@ impl Executor {
             let h = self
                 .services
                 .faas
-                .invoke_task(
+                .invoke(
                     ctx,
                     "encode",
                     format!("{}/enc", stage),
                     async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
                         let client = store
-                            .connect_via_async(fctx, format!("{}/enc", stage2), &[env.nic])
+                            .connect_via(fctx, format!("{}/enc", stage2), &[env.nic])
                             .await;
                         for key in &assigned {
                             let data = client
-                                .get_async(fctx, &bucket, key)
+                                .get(fctx, &bucket, key)
                                 .await
                                 .unwrap_or_else(|e| panic!("encode read failed: {}", e));
                             let records: Vec<MethRecord> = SortRecord::read_all(&data)
@@ -899,7 +888,7 @@ impl Executor {
                             let leaf = key.rsplit('/').next().unwrap_or(key);
                             let out_key = format!("{}{}", output, leaf);
                             client
-                                .put_async(fctx, &bucket, &out_key, Bytes::from(packed))
+                                .put(fctx, &bucket, &out_key, Bytes::from(packed))
                                 .await
                                 .unwrap_or_else(|e| panic!("encode write failed: {}", e));
                         }
@@ -908,7 +897,7 @@ impl Executor {
                 .await;
             handles.push(h);
         }
-        ctx.join_all_async(&handles)
+        ctx.join_all(&handles)
             .await
             .map_err(|e| format!("encode task failed: {}", e))?;
         let bytes = *written.lock();
@@ -1211,10 +1200,10 @@ mod tests {
         .expect("sort");
         let results: Arc<Mutex<Vec<StageResult>>> = Arc::new(Mutex::new(Vec::new()));
         let results2 = Arc::clone(&results);
-        sim.spawn_task("run-driver", move |ctx| async move {
-            ctx.sleep_async(SimDuration::from_secs(40)).await;
-            let handle = exec.spawn_dag_in_async(&ctx, &dag).await;
-            ctx.join_async(handle.root).await.expect("workflow");
+        sim.spawn("run-driver", move |ctx| async move {
+            ctx.sleep(SimDuration::from_secs(40)).await;
+            let handle = exec.spawn_dag_in(&ctx, &dag).await;
+            ctx.join(handle.root).await.expect("workflow");
             *results2.lock() = handle.ok_results().expect("ok");
         });
         sim.run().expect("sim ok");

@@ -286,14 +286,14 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             t2.stage_start(&ctx, "sort");
-            ctx.sleep_async(SimDuration::from_secs(3)).await;
+            ctx.sleep(SimDuration::from_secs(3)).await;
             t2.note(&ctx, "sort", "autotuner picked 13 workers");
-            ctx.sleep_async(SimDuration::from_secs(2)).await;
+            ctx.sleep(SimDuration::from_secs(2)).await;
             t2.stage_end(&ctx, "sort");
             t2.stage_start(&ctx, "encode");
-            ctx.sleep_async(SimDuration::from_secs(1)).await;
+            ctx.sleep(SimDuration::from_secs(1)).await;
             t2.stage_end(&ctx, "encode");
         });
         sim.run().expect("sim ok");
@@ -315,12 +315,12 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             t2.stage_start(&ctx, "sort");
-            ctx.sleep_async(SimDuration::from_secs(8)).await;
+            ctx.sleep(SimDuration::from_secs(8)).await;
             t2.stage_end(&ctx, "sort");
             t2.stage_start(&ctx, "encode");
-            ctx.sleep_async(SimDuration::from_secs(2)).await;
+            ctx.sleep(SimDuration::from_secs(2)).await;
             t2.stage_end(&ctx, "encode");
         });
         sim.run().expect("sim ok");
@@ -346,7 +346,7 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             t2.stage_start(&ctx, "sort");
         });
         sim.run().expect("sim ok");
@@ -367,9 +367,9 @@ mod tests {
         let tracker = Tracker::with_sink(sink.clone(), run);
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             t2.stage_start(&ctx, "sort");
-            ctx.sleep_async(SimDuration::from_secs(1)).await;
+            ctx.sleep(SimDuration::from_secs(1)).await;
             t2.stage_end(&ctx, "sort");
         });
         sim.run().expect("sim ok");

@@ -10,9 +10,9 @@
 //!
 //! A [`Sim`] owns a virtual clock that only advances when an event fires.
 //! Simulated activities are **processes**: each body is an `async` future
-//! polled by the scheduler on its own thread ([`Sim::spawn_task`],
-//! [`Ctx::spawn_task`]). Every [`Ctx`] operation (`sleep_async`,
-//! `sem_acquire_async`, `transfer_async`, `join_async`, `fan_out_async`, …)
+//! polled by the scheduler on its own thread ([`Sim::spawn`],
+//! [`Ctx::spawn`]). Every [`Ctx`] operation (`sleep`,
+//! `sem_acquire`, `transfer`, `join`, `fan_out`, …)
 //! is a yield point: the future suspends, the scheduler services the
 //! request, and the continuation is re-polled when the virtual-time
 //! condition is met. A suspended process is a heap-allocated state
@@ -32,8 +32,8 @@
 //!
 //! # fn main() -> Result<(), faaspipe_des::SimError> {
 //! let mut sim = Sim::new();
-//! sim.spawn_task("hello", |ctx| async move {
-//!     ctx.sleep_async(SimDuration::from_secs(3)).await;
+//! sim.spawn("hello", |ctx| async move {
+//!     ctx.sleep(SimDuration::from_secs(3)).await;
 //!     assert_eq!(ctx.now().as_secs_f64(), 3.0);
 //! });
 //! let report = sim.run()?;

@@ -3,8 +3,8 @@
 //!
 //! A process is a stackless task: its body is an `async` future that the
 //! scheduler polls on its own thread. Every simulation operation
-//! (`sleep_async`, `sem_acquire_async`, `transfer_async`, `spawn_task`,
-//! `join_async`, …) is a yield point — the future deposits its request in
+//! (`sleep`, `sem_acquire`, `transfer`, `spawn`,
+//! `join`, …) is a yield point — the future deposits its request in
 //! a shared `OpCell` and returns `Poll::Pending`; the scheduler services
 //! the request and re-polls when the virtual-time condition is met. A
 //! suspended process is a small heap-allocated state machine.
@@ -259,7 +259,7 @@ impl Ctx {
 
     /// One simulation op: deposit the request, suspend, and resume with
     /// the scheduler's answer.
-    async fn call_async(&self, msg: YieldMsg) -> ResumeMsg {
+    async fn call(&self, msg: YieldMsg) -> ResumeMsg {
         OpFuture {
             cell: Rc::clone(&self.cell),
             msg: Some(msg),
@@ -268,24 +268,24 @@ impl Ctx {
     }
 
     /// Advances this process's virtual time by `d`.
-    pub async fn sleep_async(&self, d: SimDuration) {
-        match self.call_async(YieldMsg::Sleep(d)).await {
+    pub async fn sleep(&self, d: SimDuration) {
+        match self.call(YieldMsg::Sleep(d)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for sleep: {:?}", other),
         }
     }
 
-    /// Charges `d` of virtual CPU time. Identical to [`Ctx::sleep_async`];
+    /// Charges `d` of virtual CPU time. Identical to [`Ctx::sleep`];
     /// the distinct name keeps call sites self-describing.
-    pub async fn compute_async(&self, d: SimDuration) {
-        self.sleep_async(d).await;
+    pub async fn compute(&self, d: SimDuration) {
+        self.sleep(d).await;
     }
 
     /// Charges `d` of virtual CPU time *and* runs `job`, a genuinely
     /// CPU-heavy host kernel, on the offload thread pool.
     ///
     /// The virtual-time schedule is byte-for-byte identical to
-    /// `ctx.compute_async(d)` followed by running `job()` inline: the
+    /// `ctx.compute(d)` followed by running `job()` inline: the
     /// process wakes at `now + d` exactly as a sleep would, and the kernel
     /// result is collected (host-blocking if the kernel is still running)
     /// only at that wake.
@@ -295,7 +295,7 @@ impl Ctx {
         J: FnOnce() -> R + Send + 'static,
     {
         let erased: OffloadJob = Box::new(move || Box::new(job()) as Box<dyn Any + Send>);
-        match self.call_async(YieldMsg::Offload { d, job: erased }).await {
+        match self.call(YieldMsg::Offload { d, job: erased }).await {
             ResumeMsg::OffloadDone(Ok(any)) => *any
                 .downcast::<R>()
                 .expect("offload job returned a value of the wrong type"),
@@ -305,24 +305,24 @@ impl Ctx {
     }
 
     /// Creates a counting semaphore with `permits` initial permits.
-    pub async fn sem_create_async(&self, permits: u64) -> SemId {
-        match self.call_async(YieldMsg::SemCreate(permits)).await {
+    pub async fn sem_create(&self, permits: u64) -> SemId {
+        match self.call(YieldMsg::SemCreate(permits)).await {
             ResumeMsg::Sem(id) => id,
             other => unreachable!("unexpected resume for sem_create: {:?}", other),
         }
     }
 
     /// Acquires `n` permits, blocking in virtual time until granted (FIFO).
-    pub async fn sem_acquire_async(&self, id: SemId, n: u64) {
-        match self.call_async(YieldMsg::SemAcquire(id, n)).await {
+    pub async fn sem_acquire(&self, id: SemId, n: u64) {
+        match self.call(YieldMsg::SemAcquire(id, n)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for sem_acquire: {:?}", other),
         }
     }
 
     /// Releases `n` permits.
-    pub async fn sem_release_async(&self, id: SemId, n: u64) {
-        match self.call_async(YieldMsg::SemRelease(id, n)).await {
+    pub async fn sem_release(&self, id: SemId, n: u64) {
+        match self.call(YieldMsg::SemRelease(id, n)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for sem_release: {:?}", other),
         }
@@ -330,11 +330,8 @@ impl Ctx {
 
     /// Creates a token-bucket rate limiter refilling at `rate` tokens/sec
     /// with capacity `burst`.
-    pub async fn limiter_create_async(&self, rate: f64, burst: f64) -> LimiterId {
-        match self
-            .call_async(YieldMsg::LimiterCreate { rate, burst })
-            .await
-        {
+    pub async fn limiter_create(&self, rate: f64, burst: f64) -> LimiterId {
+        match self.call(YieldMsg::LimiterCreate { rate, burst }).await {
             ResumeMsg::Limiter(id) => id,
             other => unreachable!("unexpected resume for limiter_create: {:?}", other),
         }
@@ -342,16 +339,16 @@ impl Ctx {
 
     /// Takes `tokens` from the limiter, blocking in virtual time until they
     /// have accrued (FIFO).
-    pub async fn limiter_acquire_async(&self, id: LimiterId, tokens: f64) {
-        match self.call_async(YieldMsg::LimiterAcquire(id, tokens)).await {
+    pub async fn limiter_acquire(&self, id: LimiterId, tokens: f64) {
+        match self.call(YieldMsg::LimiterAcquire(id, tokens)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for limiter_acquire: {:?}", other),
         }
     }
 
     /// Creates a bandwidth-constrained link in the fluid-flow network.
-    pub async fn link_create_async(&self, capacity: Bandwidth) -> LinkId {
-        match self.call_async(YieldMsg::LinkCreate(capacity)).await {
+    pub async fn link_create(&self, capacity: Bandwidth) -> LinkId {
+        match self.call(YieldMsg::LinkCreate(capacity)).await {
             ResumeMsg::Link(id) => id,
             other => unreachable!("unexpected resume for link_create: {:?}", other),
         }
@@ -360,9 +357,9 @@ impl Ctx {
     /// Moves `bytes` across `links`, sharing each link's capacity max-min
     /// fairly with all concurrent transfers. Blocks in virtual time until
     /// the transfer completes.
-    pub async fn transfer_async(&self, bytes: ByteSize, links: &[LinkId]) {
+    pub async fn transfer(&self, bytes: ByteSize, links: &[LinkId]) {
         match self
-            .call_async(YieldMsg::Transfer(FlowSpec {
+            .call(YieldMsg::Transfer(FlowSpec {
                 bytes,
                 links: links.to_vec(),
             }))
@@ -375,14 +372,14 @@ impl Ctx {
 
     /// Spawns a child process that starts at the current virtual time.
     /// `f` receives the child's owned [`Ctx`] and returns its future.
-    pub async fn spawn_task<F, Fut>(&self, name: impl Into<String>, f: F) -> ProcessId
+    pub async fn spawn<F, Fut>(&self, name: impl Into<String>, f: F) -> ProcessId
     where
         F: FnOnce(Ctx) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         let body: TaskFn = Box::new(move |ctx| Box::pin(f(ctx)) as LocalBoxFuture<'static, ()>);
         match self
-            .call_async(YieldMsg::Spawn {
+            .call(YieldMsg::Spawn {
                 name: name.into(),
                 body,
             })
@@ -397,8 +394,8 @@ impl Ctx {
     ///
     /// # Errors
     /// Returns [`JoinError`] if the joined process panicked.
-    pub async fn join_async(&self, pid: ProcessId) -> Result<(), JoinError> {
-        match self.call_async(YieldMsg::Join(pid)).await {
+    pub async fn join(&self, pid: ProcessId) -> Result<(), JoinError> {
+        match self.call(YieldMsg::Join(pid)).await {
             ResumeMsg::JoinResult(res) => res,
             other => unreachable!("unexpected resume for join: {:?}", other),
         }
@@ -409,10 +406,10 @@ impl Ctx {
     ///
     /// # Errors
     /// Returns the first [`JoinError`] if any joined process panicked.
-    pub async fn join_all_async(&self, pids: &[ProcessId]) -> Result<(), JoinError> {
+    pub async fn join_all(&self, pids: &[ProcessId]) -> Result<(), JoinError> {
         let mut first_err = None;
         for &pid in pids {
-            if let Err(e) = self.join_async(pid).await {
+            if let Err(e) = self.join(pid).await {
                 first_err.get_or_insert(e);
             }
         }
@@ -443,7 +440,7 @@ impl Ctx {
     /// itself never deadlocks. A job whose result slot stayed empty
     /// (its worker died before running it) is also reported as a
     /// [`JoinError`], never as an internal panic.
-    pub async fn fan_out_async<T, F>(
+    pub async fn fan_out<T, F>(
         &self,
         name: &str,
         window: usize,
@@ -459,11 +456,11 @@ impl Ctx {
         let total = jobs.len();
         let workers = window.max(1).min(total);
         let slots = (0..total).map(|_| None).collect();
-        self.fan_out_async_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
+        self.fan_out_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
             .await
     }
 
-    /// Sparse variant of [`Ctx::fan_out_async`]: runs only the supplied
+    /// Sparse variant of [`Ctx::fan_out`]: runs only the supplied
     /// `(slot, job)` pairs of a logical `total`-job fan-out, filling
     /// every elided slot with `fill()` — but spawns exactly the worker
     /// processes the *logical* fan-out would (`min(window.max(1),
@@ -476,8 +473,8 @@ impl Ctx {
     /// given.
     ///
     /// # Errors
-    /// Same contract as [`Ctx::fan_out_async`].
-    pub async fn fan_out_sparse_async<T, F>(
+    /// Same contract as [`Ctx::fan_out`].
+    pub async fn fan_out_sparse<T, F>(
         &self,
         name: &str,
         window: usize,
@@ -497,22 +494,22 @@ impl Ctx {
         for &(i, _) in &jobs {
             slots[i] = None;
         }
-        self.fan_out_async_driver(name, workers, jobs, slots).await
+        self.fan_out_driver(name, workers, jobs, slots).await
     }
 
     /// Worker-pinned fan-out: runs `jobs` with the worker processes a
     /// `logical_total`-job fan-out would spawn (`min(window.max(1),
     /// logical_total)`), even when `jobs` is shorter — or empty. Results
     /// come back in job order (compact: one entry per job, unlike
-    /// [`Ctx::fan_out_sparse_async`] which returns the logical length).
+    /// [`Ctx::fan_out_sparse`] which returns the logical length).
     ///
-    /// This is the fully-sparse sibling of `fan_out_sparse_async` for
+    /// This is the fully-sparse sibling of `fan_out_sparse` for
     /// callers that never want to materialise a `logical_total`-length
     /// vector at all; a `logical_total` of `0` runs nothing.
     ///
     /// # Errors
-    /// Same contract as [`Ctx::fan_out_async`].
-    pub async fn fan_out_pinned_async<T, F>(
+    /// Same contract as [`Ctx::fan_out`].
+    pub async fn fan_out_pinned<T, F>(
         &self,
         name: &str,
         window: usize,
@@ -528,14 +525,14 @@ impl Ctx {
         }
         let workers = window.max(1).min(logical_total);
         let slots = (0..jobs.len()).map(|_| None).collect();
-        self.fan_out_async_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
+        self.fan_out_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
             .await
     }
 
     /// Shared engine behind the async fan-outs: `workers` queue-draining
     /// tasks over pre-indexed `jobs`, results scattered into `slots`
     /// (already holding the fill value for any slot no job will write).
-    async fn fan_out_async_driver<T, F>(
+    async fn fan_out_driver<T, F>(
         &self,
         name: &str,
         workers: usize,
@@ -553,7 +550,7 @@ impl Ctx {
             let queue = Rc::clone(&queue);
             let slot = Rc::clone(&results);
             let pid = self
-                .spawn_task(format!("{}#{}", name, w), move |mut cctx: Ctx| async move {
+                .spawn(format!("{}#{}", name, w), move |mut cctx: Ctx| async move {
                     loop {
                         let next = queue.borrow_mut().pop_front();
                         let Some((i, job)) = next else { break };
@@ -564,7 +561,7 @@ impl Ctx {
                 .await;
             pids.push(pid);
         }
-        self.join_all_async(&pids).await?;
+        self.join_all(&pids).await?;
         let mut slots = results.borrow_mut();
         collect_fan_out(name, &mut slots)
     }

@@ -222,7 +222,7 @@ impl Sim {
     /// receives the process's owned [`Ctx`] and returns its future; the
     /// future is created and polled on the scheduler thread and costs a
     /// small heap allocation while suspended.
-    pub fn spawn_task<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
+    pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
     where
         F: FnOnce(Ctx) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
@@ -626,9 +626,9 @@ mod tests {
     #[test]
     fn sleep_advances_clock() {
         let mut sim = Sim::new();
-        sim.spawn_task("sleeper", |ctx| async move {
-            ctx.sleep_async(SimDuration::from_secs(5)).await;
-            ctx.sleep_async(SimDuration::from_millis(250)).await;
+        sim.spawn("sleeper", |ctx| async move {
+            ctx.sleep(SimDuration::from_secs(5)).await;
+            ctx.sleep(SimDuration::from_millis(250)).await;
         });
         let report = sim.run().expect("run");
         assert_eq!(report.end_time.as_nanos(), 5_250_000_000);
@@ -640,9 +640,8 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..3u64 {
             let log = Arc::clone(&log);
-            sim.spawn_task(format!("p{}", i), move |ctx| async move {
-                ctx.sleep_async(SimDuration::from_millis(10 * (3 - i)))
-                    .await;
+            sim.spawn(format!("p{}", i), move |ctx| async move {
+                ctx.sleep(SimDuration::from_millis(10 * (3 - i))).await;
                 log.lock().unwrap().push(i);
             });
         }
@@ -655,15 +654,15 @@ mod tests {
         let out = Arc::new(Mutex::new(0u64));
         let mut sim = Sim::new();
         let out2 = Arc::clone(&out);
-        sim.spawn_task("parent", move |ctx| async move {
+        sim.spawn("parent", move |ctx| async move {
             let out3 = Arc::clone(&out2);
             let child = ctx
-                .spawn_task("child", move |cctx| async move {
-                    cctx.sleep_async(SimDuration::from_secs(1)).await;
+                .spawn("child", move |cctx| async move {
+                    cctx.sleep(SimDuration::from_secs(1)).await;
                     *out3.lock().unwrap() = 42;
                 })
                 .await;
-            ctx.join_async(child).await.expect("child ok");
+            ctx.join(child).await.expect("child ok");
             assert_eq!(ctx.now().as_secs_f64(), 1.0);
             assert_eq!(*out2.lock().unwrap(), 42);
         });
@@ -674,10 +673,10 @@ mod tests {
     #[test]
     fn join_already_finished_child() {
         let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
-            let child = ctx.spawn_task("quick", |_| async {}).await;
-            ctx.sleep_async(SimDuration::from_secs(1)).await;
-            ctx.join_async(child).await.expect("quick ok");
+        sim.spawn("parent", |ctx| async move {
+            let child = ctx.spawn("quick", |_| async {}).await;
+            ctx.sleep(SimDuration::from_secs(1)).await;
+            ctx.join(child).await.expect("quick ok");
             assert_eq!(ctx.now().as_secs_f64(), 1.0, "join must not add time");
         });
         sim.run().expect("run");
@@ -686,11 +685,9 @@ mod tests {
     #[test]
     fn join_observes_child_panic() {
         let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
-            let child = ctx
-                .spawn_task("bad", |_c| async move { panic!("boom") })
-                .await;
-            let err = ctx.join_async(child).await.expect_err("child panicked");
+        sim.spawn("parent", |ctx| async move {
+            let child = ctx.spawn("bad", |_c| async move { panic!("boom") }).await;
+            let err = ctx.join(child).await.expect_err("child panicked");
             assert_eq!(err.process, "bad");
             assert!(err.message.contains("boom"));
         });
@@ -700,7 +697,7 @@ mod tests {
     #[test]
     fn unobserved_panic_fails_run() {
         let mut sim = Sim::new();
-        sim.spawn_task("bad", |_ctx| async move { panic!("kaboom") });
+        sim.spawn("bad", |_ctx| async move { panic!("kaboom") });
         let err = sim.run().expect_err("must fail");
         match err {
             SimError::ProcessPanicked { process, message } => {
@@ -718,11 +715,11 @@ mod tests {
         let sem = sim.create_semaphore(1);
         for i in 0..4u64 {
             let log = Arc::clone(&log);
-            sim.spawn_task(format!("w{}", i), move |ctx| async move {
-                ctx.sem_acquire_async(sem, 1).await;
+            sim.spawn(format!("w{}", i), move |ctx| async move {
+                ctx.sem_acquire(sem, 1).await;
                 log.lock().unwrap().push((i, ctx.now()));
-                ctx.sleep_async(SimDuration::from_secs(1)).await;
-                ctx.sem_release_async(sem, 1).await;
+                ctx.sleep(SimDuration::from_secs(1)).await;
+                ctx.sem_release(sem, 1).await;
             });
         }
         sim.run().expect("run");
@@ -738,9 +735,9 @@ mod tests {
     fn limiter_throttles_ops() {
         let mut sim = Sim::new();
         let lim = sim.create_limiter(10.0, 1.0); // 10 ops/s, burst 1
-        sim.spawn_task("client", move |ctx| async move {
+        sim.spawn("client", move |ctx| async move {
             for _ in 0..5 {
-                ctx.limiter_acquire_async(lim, 1.0).await;
+                ctx.limiter_acquire(lim, 1.0).await;
             }
             // First op free (full bucket), remaining 4 at 0.1 s apart.
             assert!((ctx.now().as_secs_f64() - 0.4).abs() < 1e-6);
@@ -755,8 +752,8 @@ mod tests {
         let done = Arc::new(Mutex::new(Vec::new()));
         for i in 0..2u64 {
             let done = Arc::clone(&done);
-            sim.spawn_task(format!("t{}", i), move |ctx| async move {
-                ctx.transfer_async(ByteSize::new(100), &[link]).await;
+            sim.spawn(format!("t{}", i), move |ctx| async move {
+                ctx.transfer(ByteSize::new(100), &[link]).await;
                 done.lock().unwrap().push((i, ctx.now()));
             });
         }
@@ -775,13 +772,13 @@ mod tests {
         let link = sim.create_link(Bandwidth::bytes_per_sec(100.0));
         let done = Arc::new(Mutex::new(HashMap::new()));
         let d1 = Arc::clone(&done);
-        sim.spawn_task("small", move |ctx| async move {
-            ctx.transfer_async(ByteSize::new(50), &[link]).await;
+        sim.spawn("small", move |ctx| async move {
+            ctx.transfer(ByteSize::new(50), &[link]).await;
             d1.lock().unwrap().insert("small", ctx.now().as_secs_f64());
         });
         let d2 = Arc::clone(&done);
-        sim.spawn_task("large", move |ctx| async move {
-            ctx.transfer_async(ByteSize::new(500), &[link]).await;
+        sim.spawn("large", move |ctx| async move {
+            ctx.transfer(ByteSize::new(500), &[link]).await;
             d2.lock().unwrap().insert("large", ctx.now().as_secs_f64());
         });
         sim.run().expect("run");
@@ -796,8 +793,8 @@ mod tests {
     fn deadlock_is_reported() {
         let mut sim = Sim::new();
         let sem = sim.create_semaphore(0);
-        sim.spawn_task("stuck", move |ctx| async move {
-            ctx.sem_acquire_async(sem, 1).await;
+        sim.spawn("stuck", move |ctx| async move {
+            ctx.sem_acquire(sem, 1).await;
         });
         let err = sim.run().expect_err("deadlock");
         match err {
@@ -813,7 +810,7 @@ mod tests {
             let out = Arc::new(Mutex::new(Vec::new()));
             let mut sim = Sim::new();
             let out2 = Arc::clone(&out);
-            sim.spawn_task("r", move |mut ctx| async move {
+            sim.spawn("r", move |mut ctx| async move {
                 let v: Vec<u64> = (0..8).map(|_| ctx.rng().gen()).collect();
                 out2.lock().unwrap().extend(v);
             });
@@ -827,17 +824,17 @@ mod tests {
     #[test]
     fn join_all_aggregates() {
         let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
+        sim.spawn("parent", |ctx| async move {
             let mut kids = Vec::new();
             for i in 0..4 {
                 let kid = ctx
-                    .spawn_task(format!("k{}", i), move |c| async move {
-                        c.sleep_async(SimDuration::from_secs(i + 1)).await;
+                    .spawn(format!("k{}", i), move |c| async move {
+                        c.sleep(SimDuration::from_secs(i + 1)).await;
                     })
                     .await;
                 kids.push(kid);
             }
-            ctx.join_all_async(&kids).await.expect("all ok");
+            ctx.join_all(&kids).await.expect("all ok");
             assert_eq!(ctx.now().as_secs_f64(), 4.0);
         });
         sim.run().expect("run");
@@ -850,7 +847,7 @@ mod tests {
             let out = Arc::new(Mutex::new(0u64));
             let mut sim = Sim::with_config(SimConfig { seed });
             let out2 = Arc::clone(&out);
-            sim.spawn_task("r", move |mut ctx| async move {
+            sim.spawn("r", move |mut ctx| async move {
                 *out2.lock().unwrap() = ctx.rng().gen();
             });
             sim.run().expect("run");
@@ -869,15 +866,15 @@ mod tests {
         let draws = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new();
         let d = Arc::clone(&draws);
-        sim.spawn_task("root", move |ctx| async move {
+        sim.spawn("root", move |ctx| async move {
             for i in 0..2 {
                 let d = Arc::clone(&d);
                 let child = ctx
-                    .spawn_task(format!("c{}", i), move |mut c| async move {
+                    .spawn(format!("c{}", i), move |mut c| async move {
                         d.lock().unwrap().push(c.rng().gen::<u64>());
                     })
                     .await;
-                ctx.join_async(child).await.expect("child ok");
+                ctx.join(child).await.expect("child ok");
             }
         });
         sim.run().expect("run");
@@ -890,19 +887,19 @@ mod tests {
         // Each process spawns a child, 50 levels deep, each sleeping 1 ms.
         fn spawn_level(ctx: Ctx, level: u64) -> LocalBoxFuture<'static, ()> {
             Box::pin(async move {
-                ctx.sleep_async(SimDuration::from_millis(1)).await;
+                ctx.sleep(SimDuration::from_millis(1)).await;
                 if level > 0 {
                     let child = ctx
-                        .spawn_task(format!("level{}", level), move |c| {
+                        .spawn(format!("level{}", level), move |c| {
                             spawn_level(c, level - 1)
                         })
                         .await;
-                    ctx.join_async(child).await.expect("child ok");
+                    ctx.join(child).await.expect("child ok");
                 }
             })
         }
         let mut sim = Sim::new();
-        sim.spawn_task("root", |ctx| spawn_level(ctx, 50));
+        sim.spawn("root", |ctx| spawn_level(ctx, 50));
         let report = sim.run().expect("run");
         assert_eq!(report.processes, 51);
         assert_eq!(report.end_time.as_nanos(), 51 * 1_000_000);
@@ -918,10 +915,10 @@ mod tests {
         let mut sim = Sim::new();
         for who in 0..2u64 {
             let log = Arc::clone(&log);
-            sim.spawn_task(format!("p{}", who), move |ctx| async move {
+            sim.spawn(format!("p{}", who), move |ctx| async move {
                 for _ in 0..3 {
                     log.lock().unwrap().push(who);
-                    ctx.sleep_async(SimDuration::ZERO).await;
+                    ctx.sleep(SimDuration::ZERO).await;
                 }
             });
         }
@@ -940,8 +937,8 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         for i in 0..2000u64 {
             let counter = Arc::clone(&counter);
-            sim.spawn_task(format!("n{}", i), move |ctx| async move {
-                ctx.sleep_async(SimDuration::from_millis(i % 50)).await;
+            sim.spawn(format!("n{}", i), move |ctx| async move {
+                ctx.sleep(SimDuration::from_millis(i % 50)).await;
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -955,18 +952,18 @@ mod tests {
     fn peak_live_tracks_concurrency_not_total() {
         // Waves of 8 concurrent processes, 10 waves: 8 children + the root.
         let mut sim = Sim::new();
-        sim.spawn_task("root", |ctx| async move {
+        sim.spawn("root", |ctx| async move {
             for _ in 0..10 {
                 let mut kids = Vec::new();
                 for i in 0..8 {
                     let kid = ctx
-                        .spawn_task(format!("wave{}", i), |c| async move {
-                            c.sleep_async(SimDuration::from_millis(3)).await;
+                        .spawn(format!("wave{}", i), |c| async move {
+                            c.sleep(SimDuration::from_millis(3)).await;
                         })
                         .await;
                     kids.push(kid);
                 }
-                ctx.join_all_async(&kids).await.expect("wave ok");
+                ctx.join_all(&kids).await.expect("wave ok");
             }
         });
         let report = sim.run().expect("run");
@@ -977,18 +974,17 @@ mod tests {
     #[test]
     fn fan_out_returns_results_in_job_order() {
         let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
+        sim.spawn("parent", |ctx| async move {
             let jobs: Vec<_> = (0..6u64)
                 .map(|i| {
                     async move |cctx: &mut Ctx| {
                         // Later jobs finish earlier; order must still hold.
-                        cctx.sleep_async(SimDuration::from_millis(60 - 10 * i))
-                            .await;
+                        cctx.sleep(SimDuration::from_millis(60 - 10 * i)).await;
                         i * 2
                     }
                 })
                 .collect();
-            let out = ctx.fan_out_async("job", 6, jobs).await.expect("fan_out ok");
+            let out = ctx.fan_out("job", 6, jobs).await.expect("fan_out ok");
             assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
         });
         sim.run().expect("run");
@@ -1001,7 +997,7 @@ mod tests {
         let inflight = Arc::new(Mutex::new((0u32, 0u32))); // (current, peak)
         let mut sim = Sim::new();
         let inflight2 = Arc::clone(&inflight);
-        sim.spawn_task("parent", move |ctx| async move {
+        sim.spawn("parent", move |ctx| async move {
             let jobs: Vec<_> = (0..4)
                 .map(|_| {
                     let inflight = Arc::clone(&inflight2);
@@ -1011,12 +1007,12 @@ mod tests {
                             g.0 += 1;
                             g.1 = g.1.max(g.0);
                         }
-                        cctx.sleep_async(SimDuration::from_secs(1)).await;
+                        cctx.sleep(SimDuration::from_secs(1)).await;
                         inflight.lock().unwrap().0 -= 1;
                     }
                 })
                 .collect();
-            ctx.fan_out_async("bounded", 2, jobs).await.expect("ok");
+            ctx.fan_out("bounded", 2, jobs).await.expect("ok");
             assert_eq!(ctx.now().as_secs_f64(), 2.0, "2 waves of 2 jobs");
         });
         sim.run().expect("run");
@@ -1026,7 +1022,7 @@ mod tests {
     #[test]
     fn fan_out_panic_surfaces_without_deadlocking_siblings() {
         let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
+        sim.spawn("parent", |ctx| async move {
             // Worker 0 pulls the panicking job and dies; worker 1 keeps
             // draining the queue, so the surviving job still runs and
             // the fan-out returns (first error) instead of hanging.
@@ -1036,13 +1032,13 @@ mod tests {
                         if i == 0 {
                             panic!("job zero failed");
                         }
-                        cctx.sleep_async(SimDuration::from_millis(5)).await;
+                        cctx.sleep(SimDuration::from_millis(5)).await;
                         7
                     }
                 })
                 .collect();
             let err = ctx
-                .fan_out_async("mixed", 2, jobs)
+                .fan_out("mixed", 2, jobs)
                 .await
                 .expect_err("panic surfaces");
             assert_eq!(err.process, "mixed#0");
@@ -1058,16 +1054,16 @@ mod tests {
     #[test]
     fn fan_out_empty_and_zero_window() {
         let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
+        sim.spawn("parent", |ctx| async move {
             let none: Vec<fn(&mut Ctx) -> std::future::Ready<u8>> = Vec::new();
             assert_eq!(
-                ctx.fan_out_async("empty", 4, none).await.expect("empty ok"),
+                ctx.fan_out("empty", 4, none).await.expect("empty ok"),
                 Vec::<u8>::new()
             );
             // Window 0 is clamped to 1 rather than deadlocking.
             let jobs: Vec<_> = (0..2u8).map(|i| async move |_: &mut Ctx| i).collect();
             assert_eq!(
-                ctx.fan_out_async("clamped", 0, jobs).await.expect("ok"),
+                ctx.fan_out("clamped", 0, jobs).await.expect("ok"),
                 vec![0, 1]
             );
         });
@@ -1082,10 +1078,10 @@ mod tests {
             let out = Arc::new(AtomicU64::new(0));
             let mut sim = Sim::new();
             let out2 = Arc::clone(&out);
-            sim.spawn_task("k", move |ctx| async move {
-                ctx.compute_async(SimDuration::from_millis(7)).await;
+            sim.spawn("k", move |ctx| async move {
+                ctx.compute(SimDuration::from_millis(7)).await;
                 let v = (0..1000u64).sum::<u64>();
-                ctx.sleep_async(SimDuration::from_millis(3)).await;
+                ctx.sleep(SimDuration::from_millis(3)).await;
                 out2.store(v, Ordering::SeqCst);
             });
             let report = sim.run().expect("run");
@@ -1099,11 +1095,11 @@ mod tests {
             let out = Arc::new(AtomicU64::new(0));
             let mut sim = Sim::new();
             let out2 = Arc::clone(&out);
-            sim.spawn_task("k", move |ctx| async move {
+            sim.spawn("k", move |ctx| async move {
                 let v = ctx
                     .offload(SimDuration::from_millis(7), || (0..1000u64).sum::<u64>())
                     .await;
-                ctx.sleep_async(SimDuration::from_millis(3)).await;
+                ctx.sleep(SimDuration::from_millis(3)).await;
                 out2.store(v, Ordering::SeqCst);
             });
             let report = sim.run().expect("run");
@@ -1120,15 +1116,15 @@ mod tests {
     #[test]
     fn offload_panic_propagates_into_the_task() {
         let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
+        sim.spawn("parent", |ctx| async move {
             let child = ctx
-                .spawn_task("kern", |cctx| async move {
+                .spawn("kern", |cctx| async move {
                     let _: u64 = cctx
                         .offload(SimDuration::from_millis(1), || panic!("kernel died"))
                         .await;
                 })
                 .await;
-            let err = ctx.join_async(child).await.expect_err("kernel panic");
+            let err = ctx.join(child).await.expect_err("kernel panic");
             assert!(err.message.contains("kernel died"));
         });
         sim.run().expect("observed panic is fine");

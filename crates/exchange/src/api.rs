@@ -219,7 +219,7 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
     /// Driver-side setup before the map phase: allocates bookkeeping for
     /// a `maps` × `parts` exchange and provisions backing resources (the
     /// VM-relay backend pays its provisioning delay here).
-    fn prepare_async<'a>(
+    fn prepare<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         maps: usize,
@@ -228,7 +228,7 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
 
     /// Stores mapper `map`'s partitions (`parts[j]` goes to reducer
     /// `j`). Returns the number of payload bytes written.
-    fn write_partitions_async<'a>(
+    fn write_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -250,12 +250,12 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
     /// The default implementation reconstructs the dense partition vector
     /// (cheap zero-copy [`Bytes::slice`]s of `run`, empty slots for
     /// absent cuts) and delegates to
-    /// [`write_partitions_async`](DataExchange::write_partitions_async),
+    /// [`write_partitions`](DataExchange::write_partitions),
     /// so every backend's store traffic — and therefore its virtual
     /// time — is exactly what the dense write produced. Backends whose
     /// wire format already concatenates the partitions override it to
     /// skip the dense vector entirely.
-    fn write_run_async<'a>(
+    fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -269,12 +269,12 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
             for &(part, off, len) in &cuts {
                 parts[part as usize] = run.slice(off as usize..(off + len) as usize);
             }
-            self.write_partitions_async(ctx, env, map, parts).await
+            self.write_partitions(ctx, env, map, parts).await
         })
     }
 
     /// Fetches the partition mapper `map` wrote for reducer `part`.
-    fn read_partition_async<'a>(
+    fn read_partition<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -292,7 +292,7 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
     ///
     /// The default implementation is a sequential loop; backends override
     /// it to keep up to `env.io_window` requests in flight concurrently.
-    fn read_partitions_async<'a>(
+    fn read_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -301,7 +301,7 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         Box::pin(async move {
             let mut out = Vec::with_capacity(reqs.len());
             for &(map, part) in reqs {
-                out.push(self.read_partition_async(ctx, env, map, part).await?);
+                out.push(self.read_partition(ctx, env, map, part).await?);
             }
             Ok(out)
         })
@@ -327,7 +327,7 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
     /// # Errors
     /// [`ExchangeError::MissingPartition`] if any mapper in `0..maps`
     /// never wrote partition `part`.
-    fn read_gather_async<'a>(
+    fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -336,13 +336,13 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
     ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
         Box::pin(async move {
             let reqs: Vec<(usize, usize)> = (0..maps).map(|m| (m, part)).collect();
-            let runs = self.read_partitions_async(ctx, env, &reqs).await?;
+            let runs = self.read_partitions(ctx, env, &reqs).await?;
             Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }
 
     /// Lists the exchange's current intermediate objects (diagnostic).
-    fn list_async<'a>(
+    fn list<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -350,7 +350,7 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
 
     /// Driver-side teardown after the reduce phase: releases backing
     /// resources (the VM-relay backend stops its billing clock here).
-    fn cleanup_async<'a>(
+    fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,

@@ -40,6 +40,6 @@ pub use api::{DataExchange, ExchangeEnv, ExchangeKind, ExchangeStrategy};
 pub use direct::{DirectConfig, DirectExchange};
 pub use error::{ExchangeError, ExchangeParseError, ExchangeParseIssue, EXCHANGE_KIND_FORMS};
 pub use object_store::ObjectStoreExchange;
-pub use retry::{with_retry_async, Retryable};
+pub use retry::{with_retry, Retryable};
 pub use sharded::{ShardedRelayConfig, ShardedRelayExchange};
 pub use vm_relay::{RelayConfig, VmRelayExchange};

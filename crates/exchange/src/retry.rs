@@ -32,7 +32,7 @@ const BACKOFF_CAP: SimDuration = SimDuration::from_millis(5_000);
 /// # Errors
 /// The last retryable error if every attempt failed, or the first
 /// non-retryable error.
-pub async fn with_retry_async<T, E: Retryable, Op>(
+pub async fn with_retry<T, E: Retryable, Op>(
     ctx: &mut Ctx,
     attempts: u32,
     mut op: Op,
@@ -49,7 +49,7 @@ where
                 last = Some(e);
                 if attempt + 1 < attempts {
                     let pause = backoff(ctx, attempt);
-                    ctx.sleep_async(pause).await;
+                    ctx.sleep(pause).await;
                 }
             }
             Err(e) => return Err(e),
@@ -77,10 +77,10 @@ mod tests {
     #[test]
     fn gives_up_after_attempts_and_sleeps_between_them() {
         let mut sim = Sim::new();
-        sim.spawn_task("p", |mut ctx| async move {
+        sim.spawn("p", |mut ctx| async move {
             let mut calls = 0;
             let before = ctx.now();
-            let result: Result<(), StoreError> = with_retry_async(&mut ctx, 3, async |_| {
+            let result: Result<(), StoreError> = with_retry(&mut ctx, 3, async |_| {
                 calls += 1;
                 Err(StoreError::Injected { op: "GET" })
             })
@@ -97,10 +97,10 @@ mod tests {
     #[test]
     fn non_retryable_errors_do_not_retry() {
         let mut sim = Sim::new();
-        sim.spawn_task("p", |mut ctx| async move {
+        sim.spawn("p", |mut ctx| async move {
             let mut calls = 0;
             let before = ctx.now();
-            let result: Result<(), StoreError> = with_retry_async(&mut ctx, 5, async |_| {
+            let result: Result<(), StoreError> = with_retry(&mut ctx, 5, async |_| {
                 calls += 1;
                 Err(StoreError::NoSuchKey {
                     bucket: "b".into(),
@@ -118,9 +118,9 @@ mod tests {
     #[test]
     fn success_is_immediate_and_free() {
         let mut sim = Sim::new();
-        sim.spawn_task("p", |mut ctx| async move {
+        sim.spawn("p", |mut ctx| async move {
             let before = ctx.now();
-            let v: Result<u32, StoreError> = with_retry_async(&mut ctx, 3, async |_| Ok(42)).await;
+            let v: Result<u32, StoreError> = with_retry(&mut ctx, 3, async |_| Ok(42)).await;
             assert_eq!(v.unwrap(), 42);
             assert_eq!(ctx.now(), before);
         });
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn backoff_grows_exponentially_until_capped() {
         let mut sim = Sim::new();
-        sim.spawn_task("p", |mut ctx| async move {
+        sim.spawn("p", |mut ctx| async move {
             // Jitter is in [0.5, 1.5), so bounds are deterministic.
             let b0 = backoff(&mut ctx, 0);
             assert!(b0 >= SimDuration::from_millis(5) && b0 < SimDuration::from_millis(15));

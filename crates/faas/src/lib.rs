@@ -16,7 +16,7 @@
 //!
 //! Function *bodies are real Rust closures*: they move real bytes through
 //! the simulated store and charge virtual CPU time via
-//! [`FunctionEnv::compute_async`].
+//! [`FunctionEnv::compute`].
 //!
 //! ## Example
 //!
@@ -28,13 +28,13 @@
 //! let mut sim = Sim::new();
 //! let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
 //! let platform = faas.clone();
-//! sim.spawn_task("driver", move |ctx| async move {
+//! sim.spawn("driver", move |ctx| async move {
 //!     let h = platform
-//!         .invoke_task(&ctx, "hello", "stage0", async |fctx, env| {
-//!             env.compute_async(fctx, SimDuration::from_millis(100)).await;
+//!         .invoke(&ctx, "hello", "stage0", async |fctx, env| {
+//!             env.compute(fctx, SimDuration::from_millis(100)).await;
 //!         })
 //!         .await;
-//!     ctx.join_async(h).await.unwrap();
+//!     ctx.join(h).await.unwrap();
 //! });
 //! sim.run()?;
 //! assert_eq!(faas.records().len(), 1);

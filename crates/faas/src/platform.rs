@@ -75,13 +75,13 @@ pub struct FunctionEnv {
 impl FunctionEnv {
     /// Charges `work` of single-vCPU compute time, scaled by this
     /// instance's CPU share (half a vCPU takes twice as long).
-    pub async fn compute_async(&self, ctx: &Ctx, work: SimDuration) {
+    pub async fn compute(&self, ctx: &Ctx, work: SimDuration) {
         let span = self.compute_span(ctx);
-        ctx.compute_async(work.mul_f64(1.0 / self.cpu_share)).await;
+        ctx.compute(work.mul_f64(1.0 / self.cpu_share)).await;
         self.trace.span_end(span, ctx.now());
     }
 
-    /// Charges compute like [`FunctionEnv::compute_async`] while running
+    /// Charges compute like [`FunctionEnv::compute`] while running
     /// the CPU-heavy host `job` on the simulator's offload pool. The
     /// virtual schedule (and the emitted span) is identical to charging
     /// the compute and running the kernel inline.
@@ -216,12 +216,12 @@ impl FunctionPlatform {
     }
 
     /// Invokes `function` from the calling process and returns the child
-    /// process id; `ctx.join_async` it to rendezvous.
+    /// process id; `ctx.join` it to rendezvous.
     ///
     /// The invocation acquires a platform concurrency slot (FIFO), pays a
     /// cold or warm start, runs `body`, then parks its container back in
     /// the warm pool.
-    pub async fn invoke_task<F>(
+    pub async fn invoke<F>(
         self: &Arc<Self>,
         ctx: &Ctx,
         function: impl Into<String>,
@@ -241,7 +241,7 @@ impl FunctionPlatform {
         let trace = self.trace.lock().clone();
         let parent = trace.current(ctx.pid());
         let pname = format!("fn:{}:{}", function, tag);
-        ctx.spawn_task(pname, move |mut fctx: Ctx| async move {
+        ctx.spawn(pname, move |mut fctx: Ctx| async move {
             platform
                 .run_invocation(&mut fctx, function, tag, requested, trace, parent, body)
                 .await;
@@ -288,7 +288,7 @@ impl FunctionPlatform {
         } else {
             SpanId::NONE
         };
-        ctx.sem_acquire_async(self.concurrency, 1).await;
+        ctx.sem_acquire(self.concurrency, 1).await;
         if tracing {
             let q = self.queued.fetch_sub(1, Ordering::SeqCst) - 1;
             trace.gauge("faas.queued_invocations", ctx.now(), q as f64);
@@ -316,12 +316,12 @@ impl FunctionPlatform {
         let start_at = ctx.now();
         let (nic, cold) = match warm {
             Some(c) => {
-                ctx.sleep_async(self.cfg.warm_start).await;
+                ctx.sleep(self.cfg.warm_start).await;
                 (c.nic, false)
             }
             None => {
-                ctx.sleep_async(self.cfg.cold_start).await;
-                (ctx.link_create_async(self.cfg.nic_bw).await, true)
+                ctx.sleep(self.cfg.cold_start).await;
+                (ctx.link_create(self.cfg.nic_bw).await, true)
             }
         };
         if tracing {
@@ -337,7 +337,7 @@ impl FunctionPlatform {
         if self.cfg.failure_rate > 0.0 && ctx.rng().gen::<f64>() < self.cfg.failure_rate {
             // Crash before user code, releasing the slot first so the
             // platform is not poisoned.
-            ctx.sem_release_async(self.concurrency, 1).await;
+            ctx.sem_release(self.concurrency, 1).await;
             if tracing {
                 trace.attr(inv, "failed", true);
                 trace.span_end(inv, ctx.now());
@@ -370,7 +370,7 @@ impl FunctionPlatform {
             trace.gauge("faas.running_containers", ctx.now(), r as f64);
         }
         if let Err(payload) = result {
-            ctx.sem_release_async(self.concurrency, 1).await;
+            ctx.sem_release(self.concurrency, 1).await;
             if tracing {
                 trace.attr(inv, "failed", true);
                 trace.span_end(inv, ctx.now());
@@ -389,7 +389,7 @@ impl FunctionPlatform {
                     expires: finished + self.cfg.keep_alive,
                 });
         }
-        ctx.sem_release_async(self.concurrency, 1).await;
+        ctx.sem_release(self.concurrency, 1).await;
         if tracing {
             trace.gauge("faas.warm_containers", finished, self.pool_size() as f64);
             trace.attr(inv, "cold", cold);
@@ -430,8 +430,8 @@ mod tests {
     where
         F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
     {
-        let h = p.invoke_task(ctx, function, tag, body).await;
-        ctx.join_async(h).await
+        let h = p.invoke(ctx, function, tag, body).await;
+        ctx.join(h).await
     }
 
     #[test]
@@ -443,7 +443,7 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "a", async |_, env| assert!(env.cold))
                 .await
                 .unwrap();
@@ -472,9 +472,9 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "a", async |_, _| {}).await.unwrap();
-            ctx.sleep_async(SimDuration::from_secs(5)).await;
+            ctx.sleep(SimDuration::from_secs(5)).await;
             call(&p, &ctx, "f", "b", async |_, env| assert!(env.cold))
                 .await
                 .unwrap();
@@ -487,17 +487,17 @@ mod tests {
     fn parallel_invocations_reuse_separate_containers() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             let mut hs = Vec::new();
             for i in 0..4 {
                 let h = p
-                    .invoke_task(&ctx, "f", format!("t{}", i), async |fctx, env| {
-                        env.compute_async(fctx, SimDuration::from_secs(1)).await;
+                    .invoke(&ctx, "f", format!("t{}", i), async |fctx, env| {
+                        env.compute(fctx, SimDuration::from_secs(1)).await;
                     })
                     .await;
                 hs.push(h);
             }
-            ctx.join_all_async(&hs).await.unwrap();
+            ctx.join_all(&hs).await.unwrap();
         });
         sim.run().expect("run");
         let recs = faas.records();
@@ -519,19 +519,19 @@ mod tests {
         let p = faas.clone();
         let order = Arc::new(StdMutex::new(Vec::new()));
         let order2 = Arc::clone(&order);
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             let mut hs = Vec::new();
             for i in 0..3u64 {
                 let order = Arc::clone(&order2);
                 let h = p
-                    .invoke_task(&ctx, "f", format!("t{}", i), async move |fctx, _| {
+                    .invoke(&ctx, "f", format!("t{}", i), async move |fctx, _| {
                         order.lock().unwrap().push((i, fctx.now().as_secs_f64()));
-                        fctx.sleep_async(SimDuration::from_secs(1)).await;
+                        fctx.sleep(SimDuration::from_secs(1)).await;
                     })
                     .await;
                 hs.push(h);
             }
-            ctx.join_all_async(&hs).await.unwrap();
+            ctx.join_all(&hs).await.unwrap();
         });
         sim.run().expect("run");
         let order = order.lock().unwrap();
@@ -546,10 +546,10 @@ mod tests {
         let cfg = FaasConfig::default().with_memory_mb(1024); // 0.5 vCPU
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "t", async |fctx, env| {
                 let before = fctx.now();
-                env.compute_async(fctx, SimDuration::from_secs(1)).await;
+                env.compute(fctx, SimDuration::from_secs(1)).await;
                 let took = fctx.now().saturating_duration_since(before);
                 assert!((took.as_secs_f64() - 2.0).abs() < 1e-9);
             })
@@ -567,9 +567,9 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "t", async |fctx, _| {
-                fctx.sleep_async(SimDuration::from_secs(2)).await
+                fctx.sleep(SimDuration::from_secs(2)).await
             })
             .await
             .unwrap();
@@ -588,7 +588,7 @@ mod tests {
         let cfg = FaasConfig::default().with_failure_rate(1.0);
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             let err = call(&p, &ctx, "f", "t", async |_, _| {})
                 .await
                 .expect_err("must crash");
@@ -610,7 +610,7 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             let _ = call(&p, &ctx, "f", "a", async |_, _| {}).await;
             let _ = call(&p, &ctx, "f", "b", async |_, _| {}).await;
         });
@@ -623,7 +623,7 @@ mod tests {
         let p = faas.clone();
         let nics = Arc::new(StdMutex::new(Vec::new()));
         let nics2 = Arc::clone(&nics);
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             for _ in 0..2 {
                 let nics = Arc::clone(&nics2);
                 call(&p, &ctx, "f", "t", async move |_, env| {
@@ -642,7 +642,7 @@ mod tests {
     fn records_carry_function_and_tag() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "mapper", "sort/map", async |_, _| {})
                 .await
                 .unwrap();
@@ -665,7 +665,7 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             let err = call(&p, &ctx, "f", "a", async |_, _| panic!("body exploded"))
                 .await
                 .expect_err("crash observed");
@@ -689,9 +689,9 @@ mod tests {
         let sink = TraceSink::recording();
         faas.set_trace_sink(sink.clone());
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "t", async |fctx, env| {
-                env.compute_async(fctx, SimDuration::from_secs(1)).await;
+                env.compute(fctx, SimDuration::from_secs(1)).await;
             })
             .await
             .unwrap();
@@ -731,7 +731,7 @@ mod tests {
         let cfg = FaasConfig::default().with_tenant_scoped_pool(true);
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "t0/r0/sort/map", async |_, env| {
                 assert!(env.cold)
             })
@@ -772,10 +772,10 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "a", async |_, _| {}).await.unwrap();
             assert_eq!(p.warm_count("f"), 1);
-            ctx.sleep_async(SimDuration::from_secs(5)).await;
+            ctx.sleep(SimDuration::from_secs(5)).await;
             // A *different* function's claim happens after "f"'s
             // container expired; the expired container must be gone.
             call(&p, &ctx, "g", "b", async |_, _| {}).await.unwrap();
@@ -792,7 +792,7 @@ mod tests {
     fn flush_pool_forces_cold_again() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn_task("driver", move |ctx| async move {
+        sim.spawn("driver", move |ctx| async move {
             call(&p, &ctx, "f", "a", async |_, _| {}).await.unwrap();
             p.flush_pool();
             call(&p, &ctx, "f", "b", async |_, env| assert!(env.cold))

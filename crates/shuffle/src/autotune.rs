@@ -237,17 +237,17 @@ impl Autotuner {
     ///
     /// # Errors
     /// Propagates store failures.
-    pub async fn probe_async(
+    pub async fn probe(
         ctx: &mut Ctx,
         store: &Arc<ObjectStore>,
         bucket: &str,
     ) -> Result<Autotuner, StoreError> {
-        let client = store.connect_async(ctx, "autotune/probe").await;
+        let client = store.connect(ctx, "autotune/probe").await;
         // Latency: average 3 empty PUTs.
         let t0 = ctx.now();
         for i in 0..3 {
             client
-                .put_async(ctx, bucket, &format!("__probe/lat{}", i), Bytes::new())
+                .put(ctx, bucket, &format!("__probe/lat{}", i), Bytes::new())
                 .await?;
         }
         let lat = ctx.now().saturating_duration_since(t0).as_secs_f64() / 3.0;
@@ -258,20 +258,20 @@ impl Autotuner {
         let physical = ((4.0 * 1024.0 * 1024.0 / scale).round() as usize).max(1);
         let payload = Bytes::from(vec![0u8; physical]);
         let t0 = ctx.now();
-        client.put_async(ctx, bucket, "__probe/bw", payload).await?;
+        client.put(ctx, bucket, "__probe/bw", payload).await?;
         let up = ctx.now().saturating_duration_since(t0).as_secs_f64();
         let t0 = ctx.now();
-        let got = client.get_async(ctx, bucket, "__probe/bw").await?;
+        let got = client.get(ctx, bucket, "__probe/bw").await?;
         let down = ctx.now().saturating_duration_since(t0).as_secs_f64();
         let wire = store.config().scaled_len(got.len()) as f64;
         let bw = (2.0 * wire) / ((up - lat).max(1e-6) + (down - lat).max(1e-6));
         // Clean up probe objects.
         for i in 0..3 {
             client
-                .delete_async(ctx, bucket, &format!("__probe/lat{}", i))
+                .delete(ctx, bucket, &format!("__probe/lat{}", i))
                 .await?;
         }
-        client.delete_async(ctx, bucket, "__probe/bw").await?;
+        client.delete(ctx, bucket, "__probe/bw").await?;
         Ok(Autotuner {
             measured_latency_s: lat,
             measured_conn_bw: bw,
@@ -461,8 +461,8 @@ mod tests {
         let out: Arc<Mutex<Option<Autotuner>>> = Arc::new(Mutex::new(None));
         let out2 = Arc::clone(&out);
         let store2 = Arc::clone(&store);
-        sim.spawn_task("prober", move |mut ctx| async move {
-            let tuner = Autotuner::probe_async(&mut ctx, &store2, "data")
+        sim.spawn("prober", move |mut ctx| async move {
+            let tuner = Autotuner::probe(&mut ctx, &store2, "data")
                 .await
                 .expect("probe");
             *out2.lock() = Some(tuner);

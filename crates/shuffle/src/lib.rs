@@ -42,12 +42,12 @@ pub use error::ShuffleError;
 // Re-exported so downstream callers keep their `faaspipe_shuffle::{...}`
 // paths after the exchange machinery moved into its own crate.
 pub use faaspipe_exchange::{
-    with_retry_async, DataExchange, ExchangeEnv, ExchangeError, ExchangeKind, ExchangeStrategy,
+    with_retry, DataExchange, ExchangeEnv, ExchangeError, ExchangeKind, ExchangeStrategy,
 };
 pub use kernel::{partition_sorted, scan_keys, sort_concat};
 pub use partitioner::RangePartitioner;
 pub use plan::{RunInfo, SortManifest};
 pub use record::SortRecord;
-pub use sort::{serverless_sort_async, streaming_merge, SortConfig, SortStats};
-pub use vmsort::{vm_sort_async, VmSortConfig, VmSortStats};
+pub use sort::{serverless_sort, streaming_merge, SortConfig, SortStats};
+pub use vmsort::{vm_sort, VmSortConfig, VmSortStats};
 pub use work::WorkModel;

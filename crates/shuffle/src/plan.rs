@@ -67,7 +67,7 @@ impl SortManifest {
     ///
     /// # Errors
     /// Propagates the store failure.
-    pub async fn write_async(
+    pub async fn write(
         &self,
         ctx: &mut Ctx,
         client: &StoreClient,
@@ -75,7 +75,7 @@ impl SortManifest {
         key: &str,
     ) -> Result<(), ShuffleError> {
         client
-            .put_async(ctx, bucket, key, Bytes::from(self.to_bytes()))
+            .put(ctx, bucket, key, Bytes::from(self.to_bytes()))
             .await?;
         Ok(())
     }
@@ -90,7 +90,7 @@ impl SortManifest {
         bucket: &str,
         key: &str,
     ) -> Result<SortManifest, ShuffleError> {
-        let data = client.get_async(ctx, bucket, key).await?;
+        let data = client.get(ctx, bucket, key).await?;
         SortManifest::from_bytes(&data)
     }
 }
@@ -146,10 +146,10 @@ mod tests {
         let got: Arc<Mutex<Option<SortManifest>>> = Arc::new(Mutex::new(None));
         let got2 = Arc::clone(&got);
         let store2 = Arc::clone(&store);
-        sim.spawn_task("driver", move |mut ctx| async move {
-            let client = store2.connect_async(&ctx, "manifest").await;
+        sim.spawn("driver", move |mut ctx| async move {
+            let client = store2.connect(&ctx, "manifest").await;
             let m = sample();
-            m.write_async(&mut ctx, &client, "data", "out/_manifest.json")
+            m.write(&mut ctx, &client, "data", "out/_manifest.json")
                 .await
                 .expect("write");
             let back = SortManifest::read(&mut ctx, &client, "data", "out/_manifest.json")

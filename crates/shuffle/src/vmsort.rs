@@ -19,7 +19,7 @@ use crate::plan::{RunInfo, SortManifest};
 use crate::record::SortRecord;
 use crate::sort::{phase_begin, phase_end};
 use crate::work::WorkModel;
-use faaspipe_exchange::with_retry_async;
+use faaspipe_exchange::with_retry;
 
 /// Configuration of one VM-driven sort.
 #[derive(Debug, Clone)]
@@ -98,7 +98,7 @@ impl VmSortStats {
 /// # Errors
 /// [`ShuffleError`] on configuration problems, store failures that
 /// survive retries, or corrupt input data.
-pub async fn vm_sort_async<R: SortRecord>(
+pub async fn vm_sort<R: SortRecord>(
     ctx: &mut Ctx,
     fleet: &VmFleet,
     store: &Arc<ObjectStore>,
@@ -111,17 +111,13 @@ pub async fn vm_sort_async<R: SortRecord>(
     }
     let started = ctx.now();
     let trace = store.trace_sink();
-    let vm = fleet.provision_async(ctx, cfg.profile.clone()).await;
+    let vm = fleet.provision(ctx, cfg.profile.clone()).await;
     let provisioned = ctx.now();
     // All VM traffic flows through the instance's single NIC.
-    let client = store
-        .connect_via_async(ctx, cfg.tag.clone(), &[vm.nic])
-        .await;
+    let client = store.connect_via(ctx, cfg.tag.clone(), &[vm.nic]).await;
 
     let p_download = phase_begin(ctx, &trace, "download", SimDuration::ZERO).await;
-    let inputs = client
-        .list_async(ctx, &cfg.bucket, &cfg.input_prefix)
-        .await?;
+    let inputs = client.list(ctx, &cfg.bucket, &cfg.input_prefix).await?;
     if inputs.is_empty() {
         return Err(ShuffleError::BadConfig {
             reason: format!("no inputs under '{}'", cfg.input_prefix),
@@ -131,8 +127,8 @@ pub async fn vm_sort_async<R: SortRecord>(
     let mut chunks: Vec<Bytes> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     for obj in &inputs {
-        let data = with_retry_async(ctx, cfg.retries, async |c: &mut Ctx| {
-            client.get_async(c, &cfg.bucket, &obj.key).await
+        let data = with_retry(ctx, cfg.retries, async |c: &mut Ctx| {
+            client.get(c, &cfg.bucket, &obj.key).await
         })
         .await?;
         input_bytes += data.len() as u64;
@@ -181,8 +177,8 @@ pub async fn vm_sort_async<R: SortRecord>(
             records: (hi - lo) as u64,
             bytes: data.len() as u64,
         });
-        with_retry_async(ctx, cfg.retries, async |c: &mut Ctx| {
-            client.put_async(c, &cfg.bucket, &key, data.clone()).await
+        with_retry(ctx, cfg.retries, async |c: &mut Ctx| {
+            client.put(c, &cfg.bucket, &key, data.clone()).await
         })
         .await?;
         run_keys.push(key);
@@ -196,7 +192,7 @@ pub async fn vm_sort_async<R: SortRecord>(
             runs: run_infos,
         };
         manifest
-            .write_async(ctx, &client, &cfg.bucket, manifest_key)
+            .write(ctx, &client, &cfg.bucket, manifest_key)
             .await?;
     }
     phase_end(ctx, &trace, p_upload);
@@ -233,12 +229,12 @@ mod tests {
         let per = values.len().div_ceil(chunks);
         let store_up = Arc::clone(&store);
         let values2 = values.clone();
-        sim.spawn_task("uploader", move |mut ctx| async move {
-            let client = store_up.connect_async(&ctx, "upload").await;
+        sim.spawn("uploader", move |mut ctx| async move {
+            let client = store_up.connect(&ctx, "upload").await;
             for (i, chunk) in values2.chunks(per).enumerate() {
                 let data = SortRecord::write_all(chunk);
                 client
-                    .put_async(&mut ctx, "data", &format!("in/{:04}", i), Bytes::from(data))
+                    .put(&mut ctx, "data", &format!("in/{:04}", i), Bytes::from(data))
                     .await
                     .expect("upload");
             }
@@ -246,22 +242,19 @@ mod tests {
         let result: Arc<Mutex<Option<(Vec<u64>, VmSortStats)>>> = Arc::new(Mutex::new(None));
         let result2 = Arc::clone(&result);
         let store2 = Arc::clone(&store);
-        sim.spawn_task("driver", move |mut ctx| async move {
-            ctx.sleep_async(SimDuration::from_secs(120)).await;
+        sim.spawn("driver", move |mut ctx| async move {
+            ctx.sleep(SimDuration::from_secs(120)).await;
             let cfg = VmSortConfig {
                 runs,
                 ..VmSortConfig::default()
             };
-            let stats = vm_sort_async::<u64>(&mut ctx, &fleet, &store2, &cfg)
+            let stats = vm_sort::<u64>(&mut ctx, &fleet, &store2, &cfg)
                 .await
                 .expect("vm sort");
-            let client = store2.connect_async(&ctx, "verify").await;
+            let client = store2.connect(&ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client
-                    .get_async(&mut ctx, "data", run)
-                    .await
-                    .expect("run exists");
+                let data = client.get(&mut ctx, "data", run).await.expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -306,12 +299,12 @@ mod tests {
         let store = ObjectStore::install(&mut sim, StoreConfig::default());
         let fleet = VmFleet::new();
         store.create_bucket("data").expect("bucket");
-        sim.spawn_task("driver", move |mut ctx| async move {
+        sim.spawn("driver", move |mut ctx| async move {
             let cfg = VmSortConfig {
                 runs: 0,
                 ..VmSortConfig::default()
             };
-            let err = vm_sort_async::<u64>(&mut ctx, &fleet, &store, &cfg)
+            let err = vm_sort::<u64>(&mut ctx, &fleet, &store, &cfg)
                 .await
                 .expect_err("bad cfg");
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
@@ -334,16 +327,16 @@ mod tests {
             )
             .expect("stage");
         let store2 = Arc::clone(&store);
-        sim.spawn_task("driver", move |mut ctx| async move {
+        sim.spawn("driver", move |mut ctx| async move {
             let cfg = VmSortConfig {
                 runs: 3,
                 manifest_key: Some("out/_manifest.json".to_string()),
                 ..VmSortConfig::default()
             };
-            vm_sort_async::<u64>(&mut ctx, &fleet, &store2, &cfg)
+            vm_sort::<u64>(&mut ctx, &fleet, &store2, &cfg)
                 .await
                 .expect("vm sort");
-            let client = store2.connect_async(&ctx, "verify").await;
+            let client = store2.connect(&ctx, "verify").await;
             let manifest = SortManifest::read(&mut ctx, &client, "data", "out/_manifest.json")
                 .await
                 .expect("manifest readable");
@@ -363,19 +356,19 @@ mod tests {
         let values: Vec<u64> = (0..2_000u64).rev().collect();
         let store_up = Arc::clone(&store);
         let v2 = values.clone();
-        sim.spawn_task("uploader", move |mut ctx| async move {
-            let client = store_up.connect_async(&ctx, "upload").await;
+        sim.spawn("uploader", move |mut ctx| async move {
+            let client = store_up.connect(&ctx, "upload").await;
             let data = SortRecord::write_all(&v2);
             client
-                .put_async(&mut ctx, "data", "in/0000", Bytes::from(data))
+                .put(&mut ctx, "data", "in/0000", Bytes::from(data))
                 .await
                 .expect("upload");
         });
         let fleet2 = fleet.clone();
         let store2 = Arc::clone(&store);
-        sim.spawn_task("driver", move |mut ctx| async move {
-            ctx.sleep_async(SimDuration::from_secs(60)).await;
-            vm_sort_async::<u64>(&mut ctx, &fleet2, &store2, &VmSortConfig::default())
+        sim.spawn("driver", move |mut ctx| async move {
+            ctx.sleep(SimDuration::from_secs(60)).await;
+            vm_sort::<u64>(&mut ctx, &fleet2, &store2, &VmSortConfig::default())
                 .await
                 .expect("vm sort");
         });

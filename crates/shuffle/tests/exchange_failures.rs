@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use faaspipe_des::{Sim, SimDuration};
 use faaspipe_exchange::{DataExchange, DirectConfig, DirectExchange, RelayConfig, VmRelayExchange};
 use faaspipe_faas::{FaasConfig, FunctionPlatform};
-use faaspipe_shuffle::{serverless_sort_async, ShuffleError, SortConfig, SortRecord};
+use faaspipe_shuffle::{serverless_sort, ShuffleError, SortConfig, SortRecord};
 use faaspipe_store::{FailurePolicy, ObjectStore, StoreConfig};
 use faaspipe_vm::VmFleet;
 
@@ -39,7 +39,7 @@ fn sort_with(backend: Arc<dyn DataExchange>, retries: u32, task_attempts: u32) -
     let out: Arc<Mutex<Option<SortOutcome>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn_task("driver", move |mut ctx| async move {
+    sim.spawn("driver", move |mut ctx| async move {
         let cfg = SortConfig {
             workers: 4,
             retries,
@@ -47,15 +47,12 @@ fn sort_with(backend: Arc<dyn DataExchange>, retries: u32, task_attempts: u32) -
             backend: Some(backend),
             ..SortConfig::default()
         };
-        let result = match serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg).await {
+        let result = match serverless_sort::<u64>(&mut ctx, &faas, &store2, &cfg).await {
             Ok(stats) => {
-                let client = store2.connect_async(&ctx, "verify").await;
+                let client = store2.connect(&ctx, "verify").await;
                 let mut all = Vec::new();
                 for run in &stats.runs {
-                    let data = client
-                        .get_async(&mut ctx, "data", run)
-                        .await
-                        .expect("run exists");
+                    let data = client.get(&mut ctx, "data", run).await.expect("run exists");
                     let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                     all.append(&mut records);
                 }

@@ -21,13 +21,13 @@
 //! let store = ObjectStore::install(&mut sim, StoreConfig::default());
 //! store.create_bucket("data")?;
 //! let handle = store.clone();
-//! sim.spawn_task("writer", move |mut ctx| async move {
-//!     let client = handle.connect_async(&ctx, "example").await;
+//! sim.spawn("writer", move |mut ctx| async move {
+//!     let client = handle.connect(&ctx, "example").await;
 //!     client
-//!         .put_async(&mut ctx, "data", "greeting", Bytes::from("hello"))
+//!         .put(&mut ctx, "data", "greeting", Bytes::from("hello"))
 //!         .await
 //!         .unwrap();
-//!     let body = client.get_async(&mut ctx, "data", "greeting").await.unwrap();
+//!     let body = client.get(&mut ctx, "data", "greeting").await.unwrap();
 //!     assert_eq!(&body[..], b"hello");
 //! });
 //! sim.run()?;

@@ -101,20 +101,20 @@ impl ObjectStore {
     /// Opens a connection from the calling process, tagged for metrics
     /// attribution. The connection gets its own per-connection bandwidth
     /// link.
-    pub async fn connect_async(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
-        self.connect_via_async(ctx, tag, &[]).await
+    pub async fn connect(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
+        self.connect_via(ctx, tag, &[]).await
     }
 
     /// Like [`ObjectStore::connect`], but transfers additionally traverse
     /// `host_links` (e.g. the NIC of the function container or VM issuing
     /// the requests).
-    pub async fn connect_via_async(
+    pub async fn connect_via(
         self: &Arc<Self>,
         ctx: &Ctx,
         tag: impl Into<String>,
         host_links: &[LinkId],
     ) -> StoreClient {
-        let conn = ctx.link_create_async(self.cfg.per_connection_bw).await;
+        let conn = ctx.link_create(self.cfg.per_connection_bw).await;
         let mut links = vec![conn, self.aggregate];
         links.extend_from_slice(host_links);
         let tag = tag.into();
@@ -285,16 +285,16 @@ impl StoreClient {
     /// error without touching state when the failure policy says so.
     async fn request_overhead(&self, ctx: &mut Ctx, op: &'static str) -> Result<(), StoreError> {
         let cfg = &self.store.cfg;
-        ctx.limiter_acquire_async(self.store.ops, 1.0).await;
+        ctx.limiter_acquire(self.store.ops, 1.0).await;
         if let Some(scope_ops) = self.scope_ops {
-            ctx.limiter_acquire_async(scope_ops, 1.0).await;
+            ctx.limiter_acquire(scope_ops, 1.0).await;
         }
         let fate = cfg.failure.draw(ctx.rng());
         let latency = match fate {
             Fate::Slow(factor) => cfg.first_byte_latency.mul_f64(factor),
             _ => cfg.first_byte_latency,
         };
-        ctx.sleep_async(latency).await;
+        ctx.sleep(latency).await;
         if matches!(fate, Fate::Fail) {
             return Err(StoreError::Injected { op });
         }
@@ -384,7 +384,7 @@ impl StoreClient {
         } else {
             SpanId::NONE
         };
-        ctx.transfer_async(ByteSize::new(wire), &self.links).await;
+        ctx.transfer(ByteSize::new(wire), &self.links).await;
         if !flow.is_none() {
             let flows = self.store.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
             let now = ctx.now();
@@ -403,7 +403,7 @@ impl StoreClient {
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown;
     /// [`StoreError::Injected`] under fault injection.
-    pub async fn put_async(
+    pub async fn put(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -453,7 +453,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::PreconditionFailed`] if the key already exists.
-    pub async fn put_if_absent_async(
+    pub async fn put_if_absent(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -509,7 +509,7 @@ impl StoreClient {
     /// [`StoreError::PreconditionFailed`] when the stored ETag differs or
     /// the key is missing; the usual lookup and injection errors
     /// otherwise.
-    pub async fn put_if_match_async(
+    pub async fn put_if_match(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -562,12 +562,7 @@ impl StoreClient {
     /// # Errors
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when
     /// missing; [`StoreError::Injected`] under fault injection.
-    pub async fn get_async(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<Bytes, StoreError> {
+    pub async fn get(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
         let span = self.trace_begin(ctx, "GET", key);
         if let Err(e) = self.request_overhead(ctx, "GET").await {
             self.finish(ctx, span, RequestClass::ClassB, 0, 0, true);
@@ -592,7 +587,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::InvalidRange`] if the range exceeds the object.
-    pub async fn get_range_async(
+    pub async fn get_range(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -652,7 +647,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when missing.
-    pub async fn head_async(
+    pub async fn head(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -694,13 +689,8 @@ impl StoreClient {
     /// # Errors
     /// Only infrastructure errors ([`StoreError::Injected`],
     /// [`StoreError::NoSuchBucket`]) are returned.
-    pub async fn exists_async(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<bool, StoreError> {
-        match self.head_async(ctx, bucket, key).await {
+    pub async fn exists(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<bool, StoreError> {
+        match self.head(ctx, bucket, key).await {
             Ok(_) => Ok(true),
             Err(StoreError::NoSuchKey { .. }) => Ok(false),
             Err(e) => Err(e),
@@ -711,7 +701,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn list_async(
+    pub async fn list(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -755,7 +745,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn list_page_async(
+    pub async fn list_page(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -812,12 +802,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn delete_async(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<(), StoreError> {
+    pub async fn delete(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<(), StoreError> {
         let span = self.trace_begin(ctx, "DELETE", key);
         if let Err(e) = self.request_overhead(ctx, "DELETE").await {
             self.finish(ctx, span, RequestClass::Delete, 0, 0, true);
@@ -845,7 +830,7 @@ impl StoreClient {
     /// # Errors
     /// Standard lookup errors for the source; [`StoreError::NoSuchBucket`]
     /// for the destination.
-    pub async fn copy_async(
+    pub async fn copy(
         &self,
         ctx: &mut Ctx,
         src_bucket: &str,
@@ -876,8 +861,7 @@ impl StoreClient {
         } else {
             SpanId::NONE
         };
-        ctx.transfer_async(ByteSize::new(wire), &self.links[1..2])
-            .await;
+        ctx.transfer(ByteSize::new(wire), &self.links[1..2]).await;
         self.trace.span_end(flow, ctx.now());
         let result = self.commit_put(ctx, dst_bucket, dst_key, data);
         self.finish(ctx, span, RequestClass::ClassA, 0, 0, result.is_err());
@@ -888,7 +872,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn create_multipart_async(
+    pub async fn create_multipart(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -927,7 +911,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub async fn upload_part_async(
+    pub async fn upload_part(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -970,7 +954,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub async fn complete_multipart_async(
+    pub async fn complete_multipart(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -1016,7 +1000,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn abort_multipart_async(
+    pub async fn abort_multipart(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -1075,8 +1059,8 @@ mod tests {
         let store = ObjectStore::install(&mut sim, cfg);
         store.create_bucket("b").expect("fresh bucket");
         let handle = Arc::clone(&store);
-        sim.spawn_task("test", move |mut ctx| async move {
-            let client = handle.connect_async(&ctx, "test").await;
+        sim.spawn("test", move |mut ctx| async move {
+            let client = handle.connect(&ctx, "test").await;
             f(&mut ctx, &client).await;
         });
         let report = sim.run().expect("sim ok");
@@ -1087,11 +1071,11 @@ mod tests {
     fn put_get_round_trip() {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
             let put = c
-                .put_async(ctx, "b", "k", Bytes::from("payload"))
+                .put(ctx, "b", "k", Bytes::from("payload"))
                 .await
                 .expect("put");
             assert_eq!(put.len.as_u64(), 7);
-            let got = c.get_async(ctx, "b", "k").await.expect("get");
+            let got = c.get(ctx, "b", "k").await.expect("get");
             assert_eq!(&got[..], b"payload");
         });
         assert_eq!(store.object_count("b"), 1);
@@ -1100,10 +1084,10 @@ mod tests {
     #[test]
     fn get_missing_key_fails() {
         run_with(quiet_config(), async |ctx, c| {
-            let err = c.get_async(ctx, "b", "nope").await.expect_err("missing");
+            let err = c.get(ctx, "b", "nope").await.expect_err("missing");
             assert!(matches!(err, StoreError::NoSuchKey { .. }));
             let err = c
-                .get_async(ctx, "nobucket", "k")
+                .get(ctx, "nobucket", "k")
                 .await
                 .expect_err("missing bucket");
             assert!(matches!(err, StoreError::NoSuchBucket { .. }));
@@ -1113,13 +1097,9 @@ mod tests {
     #[test]
     fn put_overwrites() {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from("one"))
-                .await
-                .expect("put");
-            c.put_async(ctx, "b", "k", Bytes::from("two"))
-                .await
-                .expect("put");
-            assert_eq!(&c.get_async(ctx, "b", "k").await.expect("get")[..], b"two");
+            c.put(ctx, "b", "k", Bytes::from("one")).await.expect("put");
+            c.put(ctx, "b", "k", Bytes::from("two")).await.expect("put");
+            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"two");
         });
         assert_eq!(store.object_count("b"), 1);
     }
@@ -1127,15 +1107,15 @@ mod tests {
     #[test]
     fn put_if_absent_enforces_precondition() {
         run_with(quiet_config(), async |ctx, c| {
-            c.put_if_absent_async(ctx, "b", "k", Bytes::from("x"))
+            c.put_if_absent(ctx, "b", "k", Bytes::from("x"))
                 .await
                 .expect("first");
             let err = c
-                .put_if_absent_async(ctx, "b", "k", Bytes::from("y"))
+                .put_if_absent(ctx, "b", "k", Bytes::from("y"))
                 .await
                 .expect_err("second");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get_async(ctx, "b", "k").await.expect("get")[..], b"x");
+            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"x");
         });
     }
 
@@ -1148,10 +1128,10 @@ mod tests {
         for i in 0..4 {
             let store = Arc::clone(&store);
             let wins = Arc::clone(&wins);
-            sim.spawn_task(format!("creator{}", i), move |mut ctx| async move {
-                let c = store.connect_async(&ctx, "race").await;
+            sim.spawn(format!("creator{}", i), move |mut ctx| async move {
+                let c = store.connect(&ctx, "race").await;
                 match c
-                    .put_if_absent_async(&mut ctx, "b", "lock", Bytes::from(format!("{}", i)))
+                    .put_if_absent(&mut ctx, "b", "lock", Bytes::from(format!("{}", i)))
                     .await
                 {
                     Ok(_) => *wins.lock().unwrap() += 1,
@@ -1168,26 +1148,23 @@ mod tests {
     #[test]
     fn put_if_match_is_a_cas() {
         run_with(quiet_config(), async |ctx, c| {
-            let v1 = c
-                .put_async(ctx, "b", "k", Bytes::from("one"))
-                .await
-                .expect("put");
+            let v1 = c.put(ctx, "b", "k", Bytes::from("one")).await.expect("put");
             // Matching etag swaps.
             let v2 = c
-                .put_if_match_async(ctx, "b", "k", v1.etag, Bytes::from("two"))
+                .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("two"))
                 .await
                 .expect("cas");
             assert_ne!(v1.etag, v2.etag);
             // Stale etag fails and leaves the value intact.
             let err = c
-                .put_if_match_async(ctx, "b", "k", v1.etag, Bytes::from("three"))
+                .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("three"))
                 .await
                 .expect_err("stale");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get_async(ctx, "b", "k").await.expect("get")[..], b"two");
+            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"two");
             // Missing key fails too.
             let err = c
-                .put_if_match_async(ctx, "b", "nope", 0, Bytes::from("x"))
+                .put_if_match(ctx, "b", "nope", 0, Bytes::from("x"))
                 .await
                 .expect_err("missing");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
@@ -1206,19 +1183,19 @@ mod tests {
             .expect("init");
         for i in 0..2 {
             let store = Arc::clone(&store);
-            sim.spawn_task(format!("inc{}", i), move |mut ctx| async move {
-                let c = store.connect_async(&ctx, "cas").await;
+            sim.spawn(format!("inc{}", i), move |mut ctx| async move {
+                let c = store.connect(&ctx, "cas").await;
                 for _ in 0..5 {
                     loop {
-                        let meta = c.head_async(&mut ctx, "b", "counter").await.expect("head");
+                        let meta = c.head(&mut ctx, "b", "counter").await.expect("head");
                         let cur: u64 = String::from_utf8_lossy(
-                            &c.get_async(&mut ctx, "b", "counter").await.expect("get"),
+                            &c.get(&mut ctx, "b", "counter").await.expect("get"),
                         )
                         .parse()
                         .expect("number");
                         let next = Bytes::from((cur + 1).to_string());
                         match c
-                            .put_if_match_async(&mut ctx, "b", "counter", meta.etag, next)
+                            .put_if_match(&mut ctx, "b", "counter", meta.etag, next)
                             .await
                         {
                             Ok(_) => break,
@@ -1237,20 +1214,14 @@ mod tests {
     #[test]
     fn range_get_slices_and_validates() {
         run_with(quiet_config(), async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from("0123456789"))
+            c.put(ctx, "b", "k", Bytes::from("0123456789"))
                 .await
                 .expect("put");
-            let part = c.get_range_async(ctx, "b", "k", 2, 3).await.expect("range");
+            let part = c.get_range(ctx, "b", "k", 2, 3).await.expect("range");
             assert_eq!(&part[..], b"234");
-            let whole = c
-                .get_range_async(ctx, "b", "k", 0, 10)
-                .await
-                .expect("full range");
+            let whole = c.get_range(ctx, "b", "k", 0, 10).await.expect("full range");
             assert_eq!(whole.len(), 10);
-            let err = c
-                .get_range_async(ctx, "b", "k", 8, 5)
-                .await
-                .expect_err("overrun");
+            let err = c.get_range(ctx, "b", "k", 8, 5).await.expect_err("overrun");
             assert!(matches!(
                 err,
                 StoreError::InvalidRange { object_len: 10, .. }
@@ -1262,14 +1233,12 @@ mod tests {
     fn list_filters_by_prefix_in_order() {
         run_with(quiet_config(), async |ctx, c| {
             for key in ["a/1", "a/2", "b/1", "a10"] {
-                c.put_async(ctx, "b", key, Bytes::from("x"))
-                    .await
-                    .expect("put");
+                c.put(ctx, "b", key, Bytes::from("x")).await.expect("put");
             }
-            let got = c.list_async(ctx, "b", "a/").await.expect("list");
+            let got = c.list(ctx, "b", "a/").await.expect("list");
             let keys: Vec<&str> = got.iter().map(|o| o.key.as_str()).collect();
             assert_eq!(keys, vec!["a/1", "a/2"]);
-            let all = c.list_async(ctx, "b", "").await.expect("list all");
+            let all = c.list(ctx, "b", "").await.expect("list all");
             assert_eq!(all.len(), 4);
         });
     }
@@ -1278,21 +1247,18 @@ mod tests {
     fn paginated_listing_walks_all_keys() {
         run_with(quiet_config(), async |ctx, c| {
             for i in 0..23 {
-                c.put_async(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
                     .await
                     .expect("put");
             }
-            c.put_async(ctx, "b", "q/other", Bytes::from("x"))
+            c.put(ctx, "b", "q/other", Bytes::from("x"))
                 .await
                 .expect("put");
             let mut seen = Vec::new();
             let mut after = String::new();
             let mut pages = 0;
             loop {
-                let (page, token) = c
-                    .list_page_async(ctx, "b", "p/", &after, 10)
-                    .await
-                    .expect("page");
+                let (page, token) = c.list_page(ctx, "b", "p/", &after, 10).await.expect("page");
                 assert!(page.len() <= 10);
                 seen.extend(page.iter().map(|o| o.key.clone()));
                 pages += 1;
@@ -1312,14 +1278,11 @@ mod tests {
     fn pagination_exact_page_boundary_has_no_extra_page() {
         run_with(quiet_config(), async |ctx, c| {
             for i in 0..10 {
-                c.put_async(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
                     .await
                     .expect("put");
             }
-            let (page, token) = c
-                .list_page_async(ctx, "b", "p/", "", 10)
-                .await
-                .expect("page");
+            let (page, token) = c.list_page(ctx, "b", "p/", "", 10).await.expect("page");
             assert_eq!(page.len(), 10);
             assert!(token.is_none(), "exactly one page");
         });
@@ -1329,17 +1292,17 @@ mod tests {
     fn pagination_counts_class_a_per_page() {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
             for i in 0..5 {
-                c.put_async(ctx, "b", &format!("p/{}", i), Bytes::from("x"))
+                c.put(ctx, "b", &format!("p/{}", i), Bytes::from("x"))
                     .await
                     .expect("put");
             }
-            let (_, t) = c.list_page_async(ctx, "b", "p/", "", 2).await.expect("p1");
+            let (_, t) = c.list_page(ctx, "b", "p/", "", 2).await.expect("p1");
             let (_, t) = c
-                .list_page_async(ctx, "b", "p/", &t.expect("more"), 2)
+                .list_page(ctx, "b", "p/", &t.expect("more"), 2)
                 .await
                 .expect("p2");
             let (_, t) = c
-                .list_page_async(ctx, "b", "p/", &t.expect("more"), 2)
+                .list_page(ctx, "b", "p/", &t.expect("more"), 2)
                 .await
                 .expect("p3");
             assert!(t.is_none());
@@ -1351,12 +1314,10 @@ mod tests {
     #[test]
     fn delete_is_idempotent() {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from("x"))
-                .await
-                .expect("put");
-            c.delete_async(ctx, "b", "k").await.expect("delete");
-            c.delete_async(ctx, "b", "k").await.expect("delete again");
-            assert!(!c.exists_async(ctx, "b", "k").await.expect("exists"));
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
+            c.delete(ctx, "b", "k").await.expect("delete");
+            c.delete(ctx, "b", "k").await.expect("delete again");
+            assert!(!c.exists(ctx, "b", "k").await.expect("exists"));
         });
         assert_eq!(store.object_count("b"), 0);
     }
@@ -1364,10 +1325,10 @@ mod tests {
     #[test]
     fn head_reports_metadata() {
         run_with(quiet_config(), async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from("abcd"))
+            c.put(ctx, "b", "k", Bytes::from("abcd"))
                 .await
                 .expect("put");
-            let meta = c.head_async(ctx, "b", "k").await.expect("head");
+            let meta = c.head(ctx, "b", "k").await.expect("head");
             assert_eq!(meta.len.as_u64(), 4);
             assert_eq!(meta.key, "k");
         });
@@ -1376,40 +1337,29 @@ mod tests {
     #[test]
     fn copy_duplicates_server_side() {
         run_with(quiet_config(), async |ctx, c| {
-            c.put_async(ctx, "b", "src", Bytes::from("data"))
+            c.put(ctx, "b", "src", Bytes::from("data"))
                 .await
                 .expect("put");
-            c.copy_async(ctx, "b", "src", "b", "dst")
-                .await
-                .expect("copy");
-            assert_eq!(
-                &c.get_async(ctx, "b", "dst").await.expect("get")[..],
-                b"data"
-            );
+            c.copy(ctx, "b", "src", "b", "dst").await.expect("copy");
+            assert_eq!(&c.get(ctx, "b", "dst").await.expect("get")[..], b"data");
         });
     }
 
     #[test]
     fn multipart_concatenates_in_part_order() {
         run_with(quiet_config(), async |ctx, c| {
-            let up = c
-                .create_multipart_async(ctx, "b", "big")
-                .await
-                .expect("create");
+            let up = c.create_multipart(ctx, "b", "big").await.expect("create");
             // Upload out of order.
-            c.upload_part_async(ctx, "b", up, 2, Bytes::from("world"))
+            c.upload_part(ctx, "b", up, 2, Bytes::from("world"))
                 .await
                 .expect("p2");
-            c.upload_part_async(ctx, "b", up, 1, Bytes::from("hello "))
+            c.upload_part(ctx, "b", up, 1, Bytes::from("hello "))
                 .await
                 .expect("p1");
-            let done = c
-                .complete_multipart_async(ctx, "b", up)
-                .await
-                .expect("complete");
+            let done = c.complete_multipart(ctx, "b", up).await.expect("complete");
             assert_eq!(done.len.as_u64(), 11);
             assert_eq!(
-                &c.get_async(ctx, "b", "big").await.expect("get")[..],
+                &c.get(ctx, "b", "big").await.expect("get")[..],
                 b"hello world"
             );
         });
@@ -1418,16 +1368,13 @@ mod tests {
     #[test]
     fn multipart_abort_discards() {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            let up = c
-                .create_multipart_async(ctx, "b", "gone")
-                .await
-                .expect("create");
-            c.upload_part_async(ctx, "b", up, 1, Bytes::from("x"))
+            let up = c.create_multipart(ctx, "b", "gone").await.expect("create");
+            c.upload_part(ctx, "b", up, 1, Bytes::from("x"))
                 .await
                 .expect("p1");
-            c.abort_multipart_async(ctx, "b", up).await.expect("abort");
+            c.abort_multipart(ctx, "b", up).await.expect("abort");
             let err = c
-                .complete_multipart_async(ctx, "b", up)
+                .complete_multipart(ctx, "b", up)
                 .await
                 .expect_err("aborted");
             assert!(matches!(err, StoreError::NoSuchUpload { .. }));
@@ -1442,10 +1389,8 @@ mod tests {
             ..quiet_config()
         };
         let (_, end) = run_with(cfg, async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from("x"))
-                .await
-                .expect("put");
-            c.get_async(ctx, "b", "k").await.expect("get");
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
+            c.get(ctx, "b", "k").await.expect("get");
         });
         assert_eq!(end, SimTime::from_nanos(60_000_000));
     }
@@ -1457,7 +1402,7 @@ mod tests {
             ..quiet_config()
         };
         let (_, end) = run_with(cfg, async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from(vec![0u8; 2000]))
+            c.put(ctx, "b", "k", Bytes::from(vec![0u8; 2000]))
                 .await
                 .expect("put");
         });
@@ -1473,7 +1418,7 @@ mod tests {
         };
         let (_, end) = run_with(cfg, async |ctx, c| {
             for i in 0..11 {
-                c.put_async(ctx, "b", &format!("k{}", i), Bytes::new())
+                c.put(ctx, "b", &format!("k{}", i), Bytes::new())
                     .await
                     .expect("put");
             }
@@ -1490,10 +1435,10 @@ mod tests {
         }
         .with_size_scale(10.0);
         let (store, end) = run_with(cfg, async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from(vec![7u8; 100]))
+            c.put(ctx, "b", "k", Bytes::from(vec![7u8; 100]))
                 .await
                 .expect("put");
-            let data = c.get_async(ctx, "b", "k").await.expect("get");
+            let data = c.get(ctx, "b", "k").await.expect("get");
             assert_eq!(data.len(), 100, "real content is unscaled");
         });
         // 100 real bytes modelled as 1000 wire bytes, twice (put+get) at
@@ -1508,12 +1453,10 @@ mod tests {
     #[test]
     fn metrics_attribute_by_tag_and_class() {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from("x"))
-                .await
-                .expect("put");
-            c.get_async(ctx, "b", "k").await.expect("get");
-            c.list_async(ctx, "b", "").await.expect("list");
-            c.delete_async(ctx, "b", "k").await.expect("delete");
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
+            c.get(ctx, "b", "k").await.expect("get");
+            c.list(ctx, "b", "").await.expect("list");
+            c.delete(ctx, "b", "k").await.expect("delete");
         });
         let m = store.metrics();
         let t = m.tag("test").expect("tag recorded");
@@ -1528,7 +1471,7 @@ mod tests {
         let cfg = quiet_config().with_failure(FailurePolicy::with_error_rate(1.0));
         let (store, _) = run_with(cfg, async |ctx, c| {
             let err = c
-                .put_async(ctx, "b", "k", Bytes::from("x"))
+                .put(ctx, "b", "k", Bytes::from("x"))
                 .await
                 .expect_err("injected");
             assert!(matches!(err, StoreError::Injected { op: "PUT" }));
@@ -1545,9 +1488,7 @@ mod tests {
         }
         .with_failure(FailurePolicy::with_slowdown(1.0, 5.0));
         let (_, end) = run_with(cfg, async |ctx, c| {
-            c.put_async(ctx, "b", "k", Bytes::from("x"))
-                .await
-                .expect("put");
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
         });
         assert_eq!(end, SimTime::from_nanos(50_000_000));
     }
@@ -1570,9 +1511,9 @@ mod tests {
         for i in 0..2 {
             let handle = Arc::clone(&store);
             let finish = Arc::clone(&finish);
-            sim.spawn_task(format!("w{}", i), move |mut ctx| async move {
-                let c = handle.connect_async(&ctx, format!("w{}", i)).await;
-                c.put_async(
+            sim.spawn(format!("w{}", i), move |mut ctx| async move {
+                let c = handle.connect(&ctx, format!("w{}", i)).await;
+                c.put(
                     &mut ctx,
                     "b",
                     &format!("k{}", i),
@@ -1614,12 +1555,10 @@ mod tests {
         for tenant in ["t0", "t1"] {
             let handle = Arc::clone(&store);
             let finish = Arc::clone(&finish);
-            sim.spawn_task(format!("{}-driver", tenant), move |mut ctx| async move {
-                let c = handle
-                    .connect_async(&ctx, format!("{}/r0/sort", tenant))
-                    .await;
+            sim.spawn(format!("{}-driver", tenant), move |mut ctx| async move {
+                let c = handle.connect(&ctx, format!("{}/r0/sort", tenant)).await;
                 for i in 0..3 {
-                    c.put_async(
+                    c.put(
                         &mut ctx,
                         "b",
                         &format!("{}/{}", tenant, i),

@@ -55,23 +55,23 @@ pub struct VmInstance {
 
 impl VmInstance {
     /// Charges single-threaded compute time.
-    pub async fn compute_async(&self, ctx: &Ctx, work: SimDuration) {
+    pub async fn compute(&self, ctx: &Ctx, work: SimDuration) {
         let span = self.compute_span(ctx, 1);
-        ctx.compute_async(work).await;
+        ctx.compute(work).await;
         self.trace.span_end(span, ctx.now());
     }
 
     /// Charges `work` of single-vCPU compute parallelised across
     /// `threads` threads, with the profile's parallel efficiency.
-    pub async fn compute_parallel_async(&self, ctx: &Ctx, work: SimDuration, threads: u32) {
+    pub async fn compute_parallel(&self, ctx: &Ctx, work: SimDuration, threads: u32) {
         let span = self.compute_span(ctx, threads);
-        ctx.compute_async(work.mul_f64(1.0 / self.profile.speedup(threads)))
+        ctx.compute(work.mul_f64(1.0 / self.profile.speedup(threads)))
             .await;
         self.trace.span_end(span, ctx.now());
     }
 
     /// Charges compute time for a CPU-heavy host kernel: the virtual
-    /// charge is identical to [`VmInstance::compute_async`], while the
+    /// charge is identical to [`VmInstance::compute`], while the
     /// real `job` runs on the simulator's offload pool.
     pub async fn compute_offload<R, J>(&self, ctx: &Ctx, work: SimDuration, job: J) -> R
     where
@@ -86,7 +86,7 @@ impl VmInstance {
 
     /// Parallel-speedup variant of [`VmInstance::compute_offload`]: the
     /// virtual charge is identical to
-    /// [`VmInstance::compute_parallel_async`], while the real `job` runs
+    /// [`VmInstance::compute_parallel`], while the real `job` runs
     /// on the simulator's offload pool.
     pub async fn compute_parallel_offload<R, J>(
         &self,
@@ -174,7 +174,7 @@ impl VmFleet {
 
     /// Provisions an instance, blocking the calling process for the
     /// profile's provisioning delay. Billing starts at the request.
-    pub async fn provision_async(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
+    pub async fn provision(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
         self.provision_inner(ctx, profile, true).await
     }
 
@@ -183,7 +183,7 @@ impl VmFleet {
     /// does not claim the critical path. For capacity warmed in the
     /// background while other work runs: the caller attributes the
     /// *residual* wait it actually suffers at the point it blocks.
-    pub async fn provision_prewarmed_async(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
+    pub async fn provision_prewarmed(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
         self.provision_inner(ctx, profile, false).await
     }
 
@@ -196,8 +196,8 @@ impl VmFleet {
         let requested = ctx.now();
         let trace = self.inner.trace.lock().clone();
         let parent = trace.current(ctx.pid());
-        ctx.sleep_async(profile.provisioning).await;
-        let nic = ctx.link_create_async(profile.nic_bw).await;
+        ctx.sleep(profile.provisioning).await;
+        let nic = ctx.link_create(profile.nic_bw).await;
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
         let span = if trace.is_enabled() {
             let ready = ctx.now();
@@ -284,11 +284,11 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn_task("driver", move |ctx| async move {
-            ctx.sleep_async(SimDuration::from_secs(10)).await;
-            let vm = f.provision_async(&ctx, VmProfile::bx2_8x32()).await;
+        sim.spawn("driver", move |ctx| async move {
+            ctx.sleep(SimDuration::from_secs(10)).await;
+            let vm = f.provision(&ctx, VmProfile::bx2_8x32()).await;
             assert_eq!(ctx.now().as_secs_f64(), 10.0 + 44.0);
-            ctx.sleep_async(SimDuration::from_secs(5)).await;
+            ctx.sleep(SimDuration::from_secs(5)).await;
             f.release(&ctx, vm);
         });
         sim.run().expect("run");
@@ -306,9 +306,9 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn_task("driver", move |ctx| async move {
-            let _vm = f.provision_async(&ctx, VmProfile::bx2_4x16()).await;
-            ctx.sleep_async(SimDuration::from_secs(8)).await;
+        sim.spawn("driver", move |ctx| async move {
+            let _vm = f.provision(&ctx, VmProfile::bx2_4x16()).await;
+            ctx.sleep(SimDuration::from_secs(8)).await;
         });
         sim.run().expect("run");
         let rec = &fleet.records()[0];
@@ -322,10 +322,10 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn_task("driver", move |ctx| async move {
-            let vm = f.provision_async(&ctx, VmProfile::bx2_8x32()).await;
+        sim.spawn("driver", move |ctx| async move {
+            let vm = f.provision(&ctx, VmProfile::bx2_8x32()).await;
             let before = ctx.now();
-            vm.compute_parallel_async(&ctx, SimDuration::from_secs(656), 8)
+            vm.compute_parallel(&ctx, SimDuration::from_secs(656), 8)
                 .await;
             let took = ctx.now().saturating_duration_since(before).as_secs_f64();
             // 656 s / (8 * 0.82) = 100 s.
@@ -342,9 +342,9 @@ mod tests {
         let sink = TraceSink::recording();
         fleet.set_trace_sink(sink.clone());
         let f = fleet.clone();
-        sim.spawn_task("driver", move |ctx| async move {
-            let vm = f.provision_async(&ctx, VmProfile::bx2_8x32()).await;
-            vm.compute_async(&ctx, SimDuration::from_secs(3)).await;
+        sim.spawn("driver", move |ctx| async move {
+            let vm = f.provision(&ctx, VmProfile::bx2_8x32()).await;
+            vm.compute(&ctx, SimDuration::from_secs(3)).await;
             f.release(&ctx, vm);
         });
         sim.run().expect("run");
@@ -374,10 +374,8 @@ mod tests {
         let sink = TraceSink::recording();
         fleet.set_trace_sink(sink.clone());
         let f = fleet.clone();
-        sim.spawn_task("driver", move |ctx| async move {
-            let vm = f
-                .provision_prewarmed_async(&ctx, VmProfile::bx2_8x32())
-                .await;
+        sim.spawn("driver", move |ctx| async move {
+            let vm = f.provision_prewarmed(&ctx, VmProfile::bx2_8x32()).await;
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "same delay as provision");
             f.release(&ctx, vm);
         });
@@ -402,9 +400,9 @@ mod tests {
         let fleet = VmFleet::new();
         let t0 = fleet.scoped("t0");
         let t1 = fleet.scoped("t1");
-        sim.spawn_task("driver", move |ctx| async move {
-            let a = t0.provision_async(&ctx, VmProfile::bx2_4x16()).await;
-            let b = t1.provision_async(&ctx, VmProfile::bx2_4x16()).await;
+        sim.spawn("driver", move |ctx| async move {
+            let a = t0.provision(&ctx, VmProfile::bx2_4x16()).await;
+            let b = t1.provision(&ctx, VmProfile::bx2_4x16()).await;
             assert_ne!(a.id, b.id, "ids come from the shared fleet");
             t0.release(&ctx, a);
             t1.release(&ctx, b);
@@ -422,9 +420,9 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn_task("driver", move |ctx| async move {
-            let a = f.provision_async(&ctx, VmProfile::bx2_4x16()).await;
-            let b = f.provision_async(&ctx, VmProfile::bx2_4x16()).await;
+        sim.spawn("driver", move |ctx| async move {
+            let a = f.provision(&ctx, VmProfile::bx2_4x16()).await;
+            let b = f.provision(&ctx, VmProfile::bx2_4x16()).await;
             assert_ne!(a.id, b.id);
             f.release(&ctx, a);
             f.release(&ctx, b);

@@ -23,9 +23,9 @@
 //! let mut sim = Sim::new();
 //! let fleet = VmFleet::new();
 //! let f = fleet.clone();
-//! sim.spawn_task("driver", move |ctx| async move {
-//!     let vm = f.provision_async(&ctx, VmProfile::bx2_8x32()).await;
-//!     vm.compute_parallel_async(&ctx, SimDuration::from_secs(80), 8)
+//! sim.spawn("driver", move |ctx| async move {
+//!     let vm = f.provision(&ctx, VmProfile::bx2_8x32()).await;
+//!     vm.compute_parallel(&ctx, SimDuration::from_secs(80), 8)
 //!         .await;
 //!     f.release(&ctx, vm);
 //! });

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use faaspipe::des::{Sim, SimDuration};
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
-use faaspipe::shuffle::{serverless_sort_async, with_retry_async, SortConfig, SortRecord};
+use faaspipe::shuffle::{serverless_sort, with_retry, SortConfig, SortRecord};
 use faaspipe::store::{FailurePolicy, ObjectStore, StoreConfig};
 
 fn run(error_rate: f64) -> Result<(f64, u64), Box<dyn std::error::Error>> {
@@ -41,24 +41,22 @@ fn run(error_rate: f64) -> Result<(f64, u64), Box<dyn std::error::Error>> {
     let out: Arc<Mutex<Option<SimDuration>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn_task("driver", move |mut ctx| async move {
+    sim.spawn("driver", move |mut ctx| async move {
         let cfg = SortConfig {
             workers: 8,
             retries: 10,
             ..SortConfig::default()
         };
-        let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+        let stats = serverless_sort::<u64>(&mut ctx, &faas, &store2, &cfg)
             .await
             .expect("sort survives injected faults");
         // Verify global order end to end despite the chaos.
-        let client = store2.connect_async(&ctx, "verify").await;
+        let client = store2.connect(&ctx, "verify").await;
         let mut all = Vec::new();
         for run in &stats.runs {
-            let data = with_retry_async(&mut ctx, 10, async |c| {
-                client.get_async(c, "data", run).await
-            })
-            .await
-            .expect("run readable");
+            let data = with_retry(&mut ctx, 10, async |c| client.get(c, "data", run).await)
+                .await
+                .expect("run readable");
             let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
             all.append(&mut records);
         }

@@ -26,34 +26,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    virtual, the bytes are real.
     let store2 = Arc::clone(&store);
     let faas2 = Arc::clone(&faas);
-    sim.spawn_task("driver", move |ctx| async move {
+    sim.spawn("driver", move |ctx| async move {
         let mut handles = Vec::new();
         for i in 0..4 {
             let store = Arc::clone(&store2);
             let h = faas2
-                .invoke_task(
+                .invoke(
                     &ctx,
                     "worker",
                     format!("quickstart/{}", i),
                     async move |fctx, env| {
-                        let client = store
-                            .connect_via_async(fctx, "quickstart", &[env.nic])
-                            .await;
+                        let client = store.connect_via(fctx, "quickstart", &[env.nic]).await;
                         let key = format!("greeting/{}", i);
                         let body = Bytes::from(vec![i as u8; 8 << 20]); // 8 MiB
-                        client
-                            .put_async(fctx, "data", &key, body)
-                            .await
-                            .expect("put");
-                        let back = client.get_async(fctx, "data", &key).await.expect("get");
+                        client.put(fctx, "data", &key, body).await.expect("put");
+                        let back = client.get(fctx, "data", &key).await.expect("get");
                         assert_eq!(back.len(), 8 << 20);
-                        env.compute_async(fctx, SimDuration::from_millis(150)).await;
+                        env.compute(fctx, SimDuration::from_millis(150)).await;
                     },
                 )
                 .await;
             handles.push(h);
         }
-        ctx.join_all_async(&handles).await.expect("workers ok");
+        ctx.join_all(&handles).await.expect("workers ok");
         println!("all workers finished at t = {}", ctx.now());
     });
 

@@ -45,14 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats: Arc<Mutex<(usize, u64, f64)>> = Arc::new(Mutex::new((0, 0, 0.0)));
     let stats2 = Arc::clone(&stats);
     let store2 = Arc::clone(&store);
-    sim.spawn_task("query-fn", move |mut ctx| async move {
-        let client = store2.connect_async(&ctx, "query").await;
+    sim.spawn("query-fn", move |mut ctx| async move {
+        let client = store2.connect(&ctx, "query").await;
         let t0 = ctx.now();
         // Footer: last 64 KiB is plenty for the index of this archive.
         let tail_len = (64 * 1024).min(archive_len);
         let tail_off = archive_len - tail_len;
         let tail = client
-            .get_range_async(&mut ctx, "data", "sample.mcx", tail_off, tail_len)
+            .get_range(&mut ctx, "data", "sample.mcx", tail_off, tail_len)
             .await
             .expect("index tail");
         // Rebuild a sparse archive buffer: zeros except the tail, which is
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             let block = client
-                .get_range_async(&mut ctx, "data", "sample.mcx", b.offset, b.len)
+                .get_range(&mut ctx, "data", "sample.mcx", b.offset, b.len)
                 .await
                 .expect("block");
             fetched += b.len;

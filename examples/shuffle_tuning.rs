@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let measured: Arc<Mutex<Option<Autotuner>>> = Arc::new(Mutex::new(None));
     let store2 = Arc::clone(&store);
     let measured2 = Arc::clone(&measured);
-    sim.spawn_task("prober", move |mut ctx| async move {
-        let tuner = Autotuner::probe_async(&mut ctx, &store2, "data")
+    sim.spawn("prober", move |mut ctx| async move {
+        let tuner = Autotuner::probe(&mut ctx, &store2, "data")
             .await
             .expect("probe");
         *measured2.lock() = Some(tuner);

@@ -22,7 +22,7 @@ use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMo
 use faaspipe::des::Sim;
 use faaspipe::exchange::{DataExchange, RelayConfig, ShardedRelayConfig, ShardedRelayExchange};
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
-use faaspipe::shuffle::{serverless_sort_async, SortConfig, SortRecord};
+use faaspipe::shuffle::{serverless_sort, SortConfig, SortRecord};
 use faaspipe::store::{ObjectStore, StoreConfig};
 use faaspipe::trace::chrome_trace_json;
 use faaspipe::vm::VmFleet;
@@ -76,18 +76,18 @@ fn e16_worst_digest() -> (u64, u64, u32) {
     let out: Arc<Mutex<Vec<Bytes>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn_task("driver", move |mut ctx| async move {
+    sim.spawn("driver", move |mut ctx| async move {
         let cfg = SortConfig {
             workers: 128,
             backend: Some(backend),
             ..SortConfig::default()
         };
-        let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+        let stats = serverless_sort::<u64>(&mut ctx, &faas, &store2, &cfg)
             .await
             .expect("sort");
-        let client = store2.connect_async(&ctx, "verify").await;
+        let client = store2.connect(&ctx, "verify").await;
         for run in &stats.runs {
-            let data = client.get_async(&mut ctx, "data", run).await.expect("run");
+            let data = client.get(&mut ctx, "data", run).await.expect("run");
             out2.lock().push(data);
         }
     });

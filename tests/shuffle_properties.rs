@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use faaspipe::des::{Sim, SimDuration};
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::shuffle::{
-    serverless_sort_async, vm_sort_async, RangePartitioner, SortConfig, SortRecord, VmSortConfig,
+    serverless_sort, vm_sort, RangePartitioner, SortConfig, SortRecord, VmSortConfig,
 };
 use faaspipe::store::{ObjectStore, StoreConfig};
 use faaspipe::vm::VmFleet;
@@ -60,17 +60,17 @@ fn serverless_output(values: &[u64], chunks: usize, workers: usize) -> Vec<u64> 
     let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn_task("driver", move |mut ctx| async move {
+    sim.spawn("driver", move |mut ctx| async move {
         let cfg = SortConfig {
             workers,
             ..SortConfig::default()
         };
-        let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+        let stats = serverless_sort::<u64>(&mut ctx, &faas, &store2, &cfg)
             .await
             .expect("sort");
-        let client = store2.connect_async(&ctx, "verify").await;
+        let client = store2.connect(&ctx, "verify").await;
         for run in &stats.runs {
-            let data = client.get_async(&mut ctx, "data", run).await.expect("run");
+            let data = client.get(&mut ctx, "data", run).await.expect("run");
             out2.lock()
                 .extend(<u64 as SortRecord>::read_all(&data).expect("decode"));
         }
@@ -98,17 +98,17 @@ fn vm_output(values: &[u64], chunks: usize, runs: usize) -> Vec<u64> {
     let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn_task("driver", move |mut ctx| async move {
+    sim.spawn("driver", move |mut ctx| async move {
         let cfg = VmSortConfig {
             runs,
             ..VmSortConfig::default()
         };
-        let stats = vm_sort_async::<u64>(&mut ctx, &fleet, &store2, &cfg)
+        let stats = vm_sort::<u64>(&mut ctx, &fleet, &store2, &cfg)
             .await
             .expect("sort");
-        let client = store2.connect_async(&ctx, "verify").await;
+        let client = store2.connect(&ctx, "verify").await;
         for run in &stats.runs {
-            let data = client.get_async(&mut ctx, "data", run).await.expect("run");
+            let data = client.get(&mut ctx, "data", run).await.expect("run");
             out2.lock()
                 .extend(<u64 as SortRecord>::read_all(&data).expect("decode"));
         }
@@ -169,13 +169,13 @@ fn more_workers_reduce_latency_when_bandwidth_bound() {
         let out: Arc<Mutex<Option<SimDuration>>> = Arc::new(Mutex::new(None));
         let out2 = Arc::clone(&out);
         let store2 = Arc::clone(&store);
-        sim.spawn_task("driver", move |mut ctx| async move {
+        sim.spawn("driver", move |mut ctx| async move {
             let cfg = SortConfig {
                 workers,
                 work: faaspipe::shuffle::WorkModel::default().with_size_scale(1_000.0),
                 ..SortConfig::default()
             };
-            let stats = serverless_sort_async::<u64>(&mut ctx, &faas, &store2, &cfg)
+            let stats = serverless_sort::<u64>(&mut ctx, &faas, &store2, &cfg)
                 .await
                 .expect("sort");
             *out2.lock() = Some(stats.total_duration());

@@ -113,19 +113,19 @@ fn run_simulated(ops: Vec<Op>) -> Vec<Observed> {
     let out: Arc<Mutex<Vec<Observed>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn_task("model", move |mut ctx| async move {
-        let c = store2.connect_async(&ctx, "model").await;
+    sim.spawn("model", move |mut ctx| async move {
+        let c = store2.connect(&ctx, "model").await;
         for op in &ops {
             let obs = match op {
                 Op::Put(k, d) => {
-                    c.put_async(&mut ctx, "b", &key(*k), Bytes::from(d.clone()))
+                    c.put(&mut ctx, "b", &key(*k), Bytes::from(d.clone()))
                         .await
                         .expect("put");
                     Observed::Unit
                 }
                 Op::PutIfAbsent(k, d) => {
                     match c
-                        .put_if_absent_async(&mut ctx, "b", &key(*k), Bytes::from(d.clone()))
+                        .put_if_absent(&mut ctx, "b", &key(*k), Bytes::from(d.clone()))
                         .await
                     {
                         Ok(_) => Observed::Created(true),
@@ -133,24 +133,22 @@ fn run_simulated(ops: Vec<Op>) -> Vec<Observed> {
                         Err(e) => panic!("unexpected: {}", e),
                     }
                 }
-                Op::Get(k) => match c.get_async(&mut ctx, "b", &key(*k)).await {
+                Op::Get(k) => match c.get(&mut ctx, "b", &key(*k)).await {
                     Ok(d) => Observed::Bytes(Some(d.to_vec())),
                     Err(StoreError::NoSuchKey { .. }) => Observed::Bytes(None),
                     Err(e) => panic!("unexpected: {}", e),
                 },
                 Op::Head(k) => {
-                    Observed::Exists(c.exists_async(&mut ctx, "b", &key(*k)).await.expect("head"))
+                    Observed::Exists(c.exists(&mut ctx, "b", &key(*k)).await.expect("head"))
                 }
                 Op::Delete(k) => {
-                    c.delete_async(&mut ctx, "b", &key(*k))
-                        .await
-                        .expect("delete");
+                    c.delete(&mut ctx, "b", &key(*k)).await.expect("delete");
                     Observed::Unit
                 }
                 Op::List(prefix_k) => {
                     let prefix = format!("k/{:01}", prefix_k % 10);
                     Observed::Keys(
-                        c.list_async(&mut ctx, "b", &prefix)
+                        c.list(&mut ctx, "b", &prefix)
                             .await
                             .expect("list")
                             .into_iter()
@@ -160,7 +158,7 @@ fn run_simulated(ops: Vec<Op>) -> Vec<Observed> {
                 }
                 Op::Range(k, off, len) => {
                     match c
-                        .get_range_async(&mut ctx, "b", &key(*k), *off as u64, *len as u64)
+                        .get_range(&mut ctx, "b", &key(*k), *off as u64, *len as u64)
                         .await
                     {
                         Ok(d) => Observed::Bytes(Some(d.to_vec())),
