@@ -65,8 +65,8 @@ type ResultMap = Arc<Mutex<BTreeMap<String, Result<StageResult, String>>>>;
 
 /// A stage-driver process body: an async closure over the driver's
 /// [`Ctx`], boxed so both spawn entry points (from outside the sim and
-/// from a live process) can hand it to the scheduler as a stackless task.
-type StageBody = Box<dyn for<'a> FnOnce(&'a mut Ctx) -> LocalBoxFuture<'a, ()> + Send>;
+/// from a live process) can hand it to the scheduler.
+type StageBody = Box<dyn for<'a> FnOnce(&'a mut Ctx) -> LocalBoxFuture<'a, ()>>;
 
 /// The workflow root process: it completes when every stage driver in
 /// `pids` has.

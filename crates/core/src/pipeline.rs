@@ -201,7 +201,7 @@ pub struct PipelineOutcome {
     /// Full execution trace (empty unless [`PipelineConfig::trace`]).
     pub trace: TraceData,
     /// The simulator's own execution report: events dispatched, peak
-    /// live processes, pool threads — the gauges the wall-clock
+    /// live processes, offload threads — the gauges the wall-clock
     /// regression harness records alongside host timings.
     pub sim: SimReport,
 }

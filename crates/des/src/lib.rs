@@ -11,11 +11,10 @@
 //! A [`Sim`] owns a virtual clock that only advances when an event fires.
 //! Simulated activities are **processes**: each body is an `async` future
 //! polled by the scheduler on its own thread ([`Sim::spawn`],
-//! [`Ctx::spawn`]). Every [`Ctx`] operation (`sleep`,
-//! `sem_acquire`, `transfer`, `join`, `fan_out`, …)
-//! is a yield point: the future suspends, the scheduler services the
-//! request, and the continuation is re-polled when the virtual-time
-//! condition is met. A suspended process is a heap-allocated state
+//! [`Ctx::spawn`]). Every [`Ctx`] operation (`sleep`, `sem_acquire`,
+//! `transfer`, `join`, `fan_out`, …) is a yield point: the future
+//! suspends, the scheduler services the request, and the continuation is
+//! re-polled when the virtual-time condition is met. A suspended process is a heap-allocated state
 //! machine — 100k concurrent processes cost 100k small allocations, not
 //! 100k OS threads. Genuinely CPU-heavy host kernels (sort/merge/encode)
 //! are dispatched to a small offload thread pool via [`Ctx::offload`]

@@ -3,11 +3,11 @@
 //!
 //! A process is a stackless task: its body is an `async` future that the
 //! scheduler polls on its own thread. Every simulation operation
-//! (`sleep`, `sem_acquire`, `transfer`, `spawn`,
-//! `join`, …) is a yield point — the future deposits its request in
-//! a shared `OpCell` and returns `Poll::Pending`; the scheduler services
-//! the request and re-polls when the virtual-time condition is met. A
-//! suspended process is a small heap-allocated state machine.
+//! (`sleep`, `sem_acquire`, `transfer`, `spawn`, `join`, …) is a yield
+//! point — the future deposits its request in a shared `OpCell` and
+//! returns `Poll::Pending`; the scheduler services the request and
+//! re-polls when the virtual-time condition is met. A suspended process
+//! is a small heap-allocated state machine.
 //!
 //! The scheduler polls exactly one process at a time and only CPU kernels
 //! handed to [`Ctx::offload`] run on other threads, so host thread

@@ -37,7 +37,7 @@ pub enum ExchangeKind {
     Coalesced,
     /// Pocket-style in-memory relay on a provisioned VM.
     VmRelay,
-    /// Rendezvous function-to-function streaming.
+    /// Direct function-to-function streaming (sender and receiver meet).
     Direct,
     /// A fleet of relay VMs with hashed partition routing; `prewarm`
     /// overlaps provisioning with the caller's next phase.

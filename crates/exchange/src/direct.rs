@@ -1,4 +1,5 @@
-//! Rendezvous function-to-function streaming.
+//! Direct function-to-function streaming: sender and receiver meet at the
+//! partition.
 
 use std::collections::BTreeMap;
 
@@ -183,7 +184,7 @@ impl DirectCore {
             self.span_end(ctx, span, 0, true);
             return Err(ExchangeError::PeerTimeout { map, part });
         }
-        // Rendezvous: wait for the sender to register the partition.
+        // Meet the sender: wait for it to register the partition.
         let mut waited = SimDuration::ZERO;
         let found = loop {
             match self.lookup(map, part) {

@@ -569,7 +569,7 @@ pub async fn serverless_sort<R: SortRecord>(
                         read_bytes = chunks.iter().map(Bytes::len).sum();
                     }
                     // Sort + range-partition straight over the wire bytes,
-                    // offloaded to the simulator's worker pool while the
+                    // offloaded to the simulator's offload pool while the
                     // partition compute is charged in virtual time — the
                     // schedule and span are identical to charging the
                     // compute and running the kernel inline. The kernel's
@@ -798,7 +798,7 @@ pub(crate) fn phase_end(ctx: &Ctx, trace: &TraceSink, span: SpanId) {
 /// work (all captured state is shared and idempotent).
 type TaskFactory = Box<dyn for<'a> Fn(&'a Ctx) -> LocalBoxFuture<'a, ProcessId>>;
 
-/// Spawns one stackless invocation through
+/// Spawns one invocation through
 /// [`FunctionPlatform::invoke`], boxing the spawn future so task
 /// factories can be stored type-erased. Everything the invocation body
 /// needs is owned by `body`, so the returned future borrows only `ctx`.
