@@ -234,9 +234,16 @@ impl Json {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// The deepest array/object nesting the parser accepts. Every document
+/// the workspace reads nests at most a handful of levels; the bound keeps
+/// a hostile input from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -279,8 +286,7 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') | Some(b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -289,6 +295,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses the array or object at `pos`, one nesting level deeper.
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {} levels", MAX_DEPTH)));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -433,6 +454,7 @@ impl std::str::FromStr for Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -828,6 +850,29 @@ mod tests {
         assert!("{not json".parse::<Json>().is_err());
         assert!("[1,]".parse::<Json>().is_err());
         assert!("1 2".parse::<Json>().is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(deep(MAX_DEPTH).parse::<Json>().is_ok());
+        let err = deep(MAX_DEPTH + 1).parse::<Json>().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "nesting deeper than 128 levels at byte 128"
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        let err = objects.parse::<Json>().unwrap_err();
+        assert!(err
+            .to_string()
+            .starts_with("nesting deeper than 128 levels at byte "));
+        // Far past the bound: an error, not a stack overflow.
+        let err = deep(200_000).parse::<Json>().unwrap_err();
+        assert!(err.to_string().contains("at byte 128"), "{}", err);
     }
 
     #[test]

@@ -310,6 +310,22 @@ fn run_rejects_bad_spec() {
 }
 
 #[test]
+fn run_rejects_a_deeply_nested_spec_with_a_typed_error() {
+    let spec = tmp("deep-spec.json");
+    let depth = 200_000;
+    std::fs::write(&spec, format!("{}{}", "[".repeat(depth), "]".repeat(depth))).expect("write");
+    let out = bin().arg("run").arg(&spec).output().expect("run");
+    // An exit code, not a signal: the parser must not overflow its stack.
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nesting deeper than 128 levels at byte 128"),
+        "{}",
+        stderr
+    );
+}
+
+#[test]
 fn cluster_runs_a_small_multi_tenant_simulation() {
     let out = bin()
         .args([
