@@ -19,7 +19,6 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::task::{Context as PollContext, Poll};
 
 use rand::rngs::SmallRng;
@@ -202,7 +201,7 @@ pub fn catch_unwind_future<F: Future>(fut: F) -> CatchUnwind<F> {
 /// immediately.
 pub struct Ctx {
     pid: ProcessId,
-    name: Arc<str>,
+    name: Rc<str>,
     clock: Rc<Cell<u64>>,
     cell: Rc<OpCell>,
     rng: SmallRng,
@@ -221,7 +220,7 @@ impl std::fmt::Debug for Ctx {
 impl Ctx {
     pub(crate) fn new(
         pid: ProcessId,
-        name: Arc<str>,
+        name: Rc<str>,
         clock: Rc<Cell<u64>>,
         cell: Rc<OpCell>,
         seed: u64,

@@ -5,7 +5,6 @@ use std::cell::Cell;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::task::{Context as PollContext, Poll, Waker};
 
 use crate::events::{EventId, EventQueue, Wake};
@@ -111,7 +110,7 @@ struct TaskState {
 }
 
 struct Slot {
-    name: Arc<str>,
+    name: Rc<str>,
     state: PState,
     /// What to send when this blocked process is next woken.
     resume_with: ResumeMsg,
@@ -386,7 +385,7 @@ impl Sim {
             let cell = Rc::new(OpCell::default());
             let ctx = Ctx::new(
                 ProcessId(pidx),
-                Arc::clone(&self.procs[pi].name),
+                Rc::clone(&self.procs[pi].name),
                 Rc::clone(&self.clock),
                 Rc::clone(&cell),
                 self.cfg.seed,
@@ -614,6 +613,7 @@ mod tests {
     use crate::units::{Bandwidth, ByteSize, SimDuration};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::sync::Mutex;
 
     #[test]
