@@ -115,18 +115,11 @@ fn base_cfg(records: usize, modeled: u64) -> PipelineConfig {
     cfg
 }
 
-/// The wire bytes one sample-phase range read fetches for this shape.
-fn sample_read_bytes(cfg: &PipelineConfig) -> f64 {
-    let chunk_wire = cfg.modeled_bytes as f64 / cfg.parallelism as f64;
-    (64.0 * 1024.0 * cfg.size_scale()).min(chunk_wire)
-}
-
+/// The whole pipeline (sort plus encode tail) as the planner sees it.
 fn workload(cfg: &PipelineConfig) -> Workload {
     Workload {
-        data_bytes: cfg.modeled_bytes as f64,
-        input_chunks: cfg.parallelism,
-        sample_read_bytes: sample_read_bytes(cfg),
         encode_workers: cfg.parallelism,
+        ..cfg.sort_workload()
     }
 }
 
@@ -168,7 +161,7 @@ fn probe(
         io_concurrency: k,
         data_bytes: modeled as f64,
         input_chunks: cfg.parallelism,
-        sample_read_bytes: sample_read_bytes(&cfg),
+        sample_read_bytes: cfg.sort_workload().sample_read_bytes,
     };
     let (_, trace) = simulate(records, modeled, workers, k, exchange, true);
     (spec, trace)

@@ -3,7 +3,8 @@
 //! (e.g., IBM COS only supports a few thousand operations/s)" for
 //! all-to-all bottlenecks. This sweep throttles the budget and watches
 //! an over-parallelised shuffle (64 fixed workers) degrade — and the
-//! autotuned worker count shrink to compensate.
+//! worker count the planner picks for `"workers": "auto"` shrink to
+//! compensate.
 //!
 //! ```text
 //! cargo run --release -p faaspipe-bench --bin repro_ops_sensitivity
@@ -53,7 +54,7 @@ fn main() {
         });
     }
     // Shape: a starved ops budget punishes the W² request pattern; the
-    // autotuner compensates by picking fewer workers.
+    // planner compensates by picking fewer workers.
     let starved = &rows[0];
     let rich = rows.last().expect("non-empty");
     assert!(

@@ -3,14 +3,16 @@
 //! used** in shuffling stages."
 //!
 //! Sweeps the shuffle worker count, measures pipeline latency and cost at
-//! each point, and compares the Primula-style autotuner's pick against
-//! the empirical optimum.
+//! each point, and compares the planner's `"workers": "auto"` pick (W
+//! only; the stage's scatter backend and I/O window stay pinned) against
+//! the empirical optimum. The model column is the same planner model's
+//! sort-stage makespan at each W.
 //!
 //! ```text
 //! cargo run --release -p faaspipe-bench --bin repro_worker_sweep [-- --jobs N]
 //! ```
 //!
-//! The 12-point worker sweep plus the autotuned run are 13 independent
+//! The 12-point worker sweep plus the planned run are 13 independent
 //! sims; they run through the [`faaspipe_sweep`] engine (`--jobs` worker
 //! threads, default `FAASPIPE_JOBS` / core count) with serial-identical
 //! output.
@@ -18,7 +20,7 @@
 use faaspipe_bench::{write_json, SWEEP_RECORDS};
 use faaspipe_core::dag::WorkerChoice;
 use faaspipe_core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
-use faaspipe_shuffle::{TuningModel, WorkModel};
+use faaspipe_plan::{Candidate, ModelParams};
 use faaspipe_sweep::Sweep;
 use faaspipe_trace::{critical_path, Breakdown};
 
@@ -38,41 +40,27 @@ struct SweepRow {
 
 faaspipe_json::json_object! { SweepRow { req workers, req latency_s, req sort_latency_s, req model_sort_s, req cost_dollars, req autotuned, req compute_s, req store_io_s, req cold_start_s, req queueing_s, req other_s } }
 
-/// The analytic model instantiated with the sweep's platform parameters
-/// (used to validate the autotuner's predictions against measurements).
-fn analytic_model() -> TuningModel {
-    let cfg = PipelineConfig::paper_table1();
-    let work = WorkModel::default();
-    TuningModel {
-        data_bytes: cfg.modeled_bytes as f64,
-        input_chunks: cfg.parallelism,
-        request_latency_s: cfg.store.first_byte_latency.as_secs_f64(),
-        // Effective per-function bandwidth: the tighter of the store's
-        // per-connection cap and the container NIC.
-        conn_bw: cfg
-            .store
-            .per_connection_bw
-            .as_bytes_per_sec()
-            .min(cfg.faas.nic_bw.as_bytes_per_sec()),
-        agg_bw: cfg.store.aggregate_bw.as_bytes_per_sec(),
-        ops_per_sec: cfg.store.ops_per_sec,
-        startup_s: cfg.faas.cold_start.as_secs_f64(),
-        cpu_share: cfg.faas.cpu_share(),
-        sort_bps: work.sort_mibps * 1024.0 * 1024.0,
-        merge_bps: work.merge_mibps * 1024.0 * 1024.0,
-        max_workers: 128,
-    }
-}
-
-/// Driver-side orchestration on the sort stage's critical path (three
-/// phases), which the per-function model does not cover.
-const ORCHESTRATION_S: f64 = 3.0 * 8.0;
-
-fn run(workers: WorkerChoice) -> (usize, f64, f64, f64, Breakdown) {
+fn config(workers: WorkerChoice) -> PipelineConfig {
     let mut cfg = PipelineConfig::paper_table1();
     cfg.mode = PipelineMode::PureServerless;
     cfg.physical_records = SWEEP_RECORDS;
     cfg.workers = workers;
+    cfg
+}
+
+/// The planner model's sort-stage makespan at `workers`, with the
+/// sweep's backend and I/O window: what `"workers": "auto"` ranks.
+fn model_sort_s(params: &ModelParams, cfg: &PipelineConfig, workers: usize) -> f64 {
+    let cand = Candidate {
+        workers,
+        io_concurrency: cfg.io_concurrency,
+        exchange: cfg.exchange,
+    };
+    params.estimate(&cfg.sort_workload(), &cand).makespan_s
+}
+
+fn run(workers: WorkerChoice) -> (usize, f64, f64, f64, Breakdown) {
+    let mut cfg = config(workers);
     cfg.trace = true;
     let outcome = run_methcomp_pipeline(&cfg).expect("pipeline run");
     let sort = outcome
@@ -101,9 +89,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = faaspipe_sweep::jobs_from_args_or_exit(&args);
     let sweep = [1usize, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128];
-    let model = analytic_model();
+    let cfg = config(WorkerChoice::Auto);
+    let params = cfg.model_params();
 
-    // The fixed-W grid plus the autotuned run, all independent sims.
+    // The fixed-W grid plus the planned run, all independent sims.
     let mut grid: Sweep<(usize, f64, f64, f64, Breakdown)> = Sweep::new();
     for &w in &sweep {
         grid.push(format!("W={}", w), move || run(WorkerChoice::Fixed(w)));
@@ -119,7 +108,7 @@ fn main() {
     );
     for &w in &sweep {
         let (_, latency, sort, cost, b) = results.next().expect("one row per W");
-        let predicted = model.breakdown(w).total_s() + ORCHESTRATION_S;
+        let predicted = model_sort_s(&params, &cfg, w);
         let err = (predicted - sort).abs() / sort * 100.0;
         max_model_err = max_model_err.max(err);
         println!(
@@ -152,7 +141,7 @@ fn main() {
         });
     }
     println!(
-        "analytic model tracks the measured sort stage within {:.0}% across the sweep",
+        "planner model tracks the measured sort stage within {:.0}% across the sweep",
         max_model_err
     );
     let best = rows
@@ -167,9 +156,9 @@ fn main() {
     let best_latency = best.latency_s;
     let worst_latency = rows.iter().map(|r| r.latency_s).fold(f64::MIN, f64::max);
 
-    let (picked, latency, sort, cost, b) = results.next().expect("autotuned row");
+    let (picked, latency, sort, cost, b) = results.next().expect("planned row");
     println!(
-        "autotuner picked {} workers: {:.2}s (sort {:.2}s, ${:.4})",
+        "planner picked {} workers: {:.2}s (sort {:.2}s, ${:.4})",
         picked, latency, sort, cost
     );
     println!("{}", b.render());
@@ -177,7 +166,7 @@ fn main() {
         workers: picked,
         latency_s: latency,
         sort_latency_s: sort,
-        model_sort_s: model.breakdown(picked).total_s() + ORCHESTRATION_S,
+        model_sort_s: model_sort_s(&params, &cfg, picked),
         cost_dollars: cost,
         autotuned: true,
         compute_s: b.compute.as_secs_f64(),
@@ -193,7 +182,7 @@ fn main() {
     );
 
     // The claim: a well-chosen worker count makes object storage
-    // competitive; bad counts are much worse; the autotuner lands near
+    // competitive; bad counts are much worse; the planner lands near
     // the optimum.
     assert!(
         worst_latency > best_latency * 1.5,

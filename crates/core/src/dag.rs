@@ -19,7 +19,8 @@ pub struct StageId(pub(crate) usize);
 pub enum WorkerChoice {
     /// Exactly this many workers.
     Fixed(usize),
-    /// Let the Primula-style autotuner pick ("on the fly").
+    /// Let the planner pick ("on the fly"): the stage's backend and I/O
+    /// window stay pinned unless they are `auto` too.
     Auto,
 }
 

@@ -13,14 +13,12 @@ use parking_lot::Mutex;
 use faaspipe_des::{Ctx, LocalBoxFuture, ProcessId, Sim, SimDuration, SimTime};
 use faaspipe_exchange::{
     DataExchange, DirectConfig, DirectExchange, ExchangeKind, RelayConfig, ShardedRelayConfig,
-    ShardedRelayExchange, VmRelayExchange,
+    ShardedRelayExchange,
 };
 use faaspipe_faas::FunctionPlatform;
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
 use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
-use faaspipe_shuffle::{
-    serverless_sort, vm_sort, Autotuner, SortConfig, SortRecord, VmSortConfig, WorkModel,
-};
+use faaspipe_shuffle::{serverless_sort, vm_sort, SortConfig, SortRecord, VmSortConfig, WorkModel};
 use faaspipe_store::ObjectStore;
 use faaspipe_trace::Category;
 use faaspipe_vm::VmFleet;
@@ -54,7 +52,7 @@ pub struct StageResult {
     pub started: SimTime,
     /// When the stage finished.
     pub finished: SimTime,
-    /// Workers actually used (autotuned shuffles may differ from the
+    /// Workers actually used (planned shuffles may differ from the
     /// request).
     pub workers_used: usize,
     /// Real output bytes written.
@@ -122,7 +120,7 @@ pub struct Executor {
     pub work: WorkModel,
     /// Job tracker receiving progress events.
     pub tracker: Tracker,
-    /// Upper bound the autotuner may pick.
+    /// Upper bound the planner may pick for `"workers": "auto"`.
     pub max_autotune_workers: usize,
     /// Default per-function I/O window for shuffle stages that don't
     /// pin one (`StageKind::ShuffleSort::io_concurrency`). `1` is the
@@ -492,24 +490,14 @@ impl Executor {
     /// constructs its default [`ObjectStoreExchange`]
     /// (faaspipe_exchange::ObjectStoreExchange) over the stage's own
     /// `part_prefix`. The relay and direct backends share the store's
-    /// size scale so wire bytes stay comparable, and the relay VM comes
-    /// from the executor's fleet so its billing lands in the cost report.
+    /// size scale so wire bytes stay comparable, and the relay VMs come
+    /// from the executor's fleet so their billing lands in the cost
+    /// report. `vm_relay` is the relay fleet with one cold shard.
     fn exchange_backend(&self, exchange: ExchangeKind) -> Option<Arc<dyn DataExchange>> {
         let scale = self.services.store.config().size_scale;
         let trace = self.services.store.trace_sink();
         match exchange {
             ExchangeKind::Scatter | ExchangeKind::Coalesced => None,
-            ExchangeKind::VmRelay => {
-                let relay = VmRelayExchange::new(
-                    self.services.fleet.clone(),
-                    RelayConfig {
-                        size_scale: scale,
-                        ..RelayConfig::default()
-                    },
-                )
-                .with_trace(trace);
-                Some(Arc::new(relay))
-            }
             ExchangeKind::Direct => {
                 let direct = DirectExchange::new(DirectConfig {
                     keep_alive: self.services.faas.config().keep_alive,
@@ -519,7 +507,8 @@ impl Executor {
                 .with_trace(trace);
                 Some(Arc::new(direct))
             }
-            ExchangeKind::ShardedRelay { shards, prewarm } => {
+            ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => {
+                let (shards, prewarm) = exchange.relay_fleet().expect("a relay kind");
                 let sharded = ShardedRelayExchange::new(
                     self.services.fleet.clone(),
                     ShardedRelayConfig {
@@ -540,13 +529,14 @@ impl Executor {
         }
     }
 
-    /// Resolves `--exchange auto` for one shuffle stage: LISTs the
-    /// stage's inputs to size the [`Workload`], runs the
+    /// Resolves `"workers": "auto"` or `--exchange auto` for one shuffle
+    /// stage: LISTs the stage's inputs to size the [`Workload`], runs the
     /// [`Planner`] over the calibrated parameters (or config-derived
     /// defaults), and records the decision as a zero-width
     /// [`Category::Planner`] span plus a tracker note. Dimensions the
-    /// spec pins (a fixed worker count, an explicit `io_concurrency`)
-    /// constrain the search instead of being overridden.
+    /// spec pins (a fixed worker count, an explicit backend, an
+    /// explicit `io_concurrency`) constrain the search instead of being
+    /// overridden.
     #[allow(clippy::too_many_arguments)]
     async fn plan_stage(
         &self,
@@ -555,6 +545,7 @@ impl Executor {
         stage: &str,
         input: &str,
         choice: WorkerChoice,
+        exchange: ExchangeKind,
         io_concurrency: Option<usize>,
         downstream_encode: usize,
     ) -> Result<Plan, String> {
@@ -602,6 +593,9 @@ impl Executor {
         }
         if let Some(k) = io_concurrency {
             space = space.pin_io(k);
+        }
+        if exchange != ExchangeKind::Auto {
+            space = space.pin_exchange(exchange);
         }
         let plan = Planner::new(params).with_space(space).plan(&workload);
         let trace = store.trace_sink();
@@ -654,116 +648,34 @@ impl Executor {
         input: &str,
         output: &str,
     ) -> Result<(usize, u64), String> {
-        // `auto` resolves every open dimension up front; explicit
-        // backends keep the historical path (and its virtual timings)
-        // untouched.
-        let planned = if exchange == ExchangeKind::Auto {
-            Some(
-                self.plan_stage(
-                    ctx,
-                    bucket,
-                    stage,
-                    input,
-                    choice,
-                    io_concurrency,
-                    downstream_encode,
-                )
-                .await?,
-            )
-        } else {
-            None
-        };
-        if let Some(plan) = &planned {
-            return self
-                .run_shuffle(
-                    ctx,
-                    bucket,
-                    stage,
-                    plan.workers,
-                    plan.exchange,
-                    plan.io_concurrency,
-                    input,
-                    output,
-                )
-                .await;
-        }
-        let io_concurrency = io_concurrency.unwrap_or(self.io_concurrency);
-        let workers = match choice {
-            WorkerChoice::Fixed(n) => n,
-            WorkerChoice::Auto => {
-                let store = &self.services.store;
-                let tuner = Autotuner::probe(ctx, store, bucket)
-                    .await
-                    .map_err(|e| format!("autotune probe failed: {}", e))?;
-                let client = store.connect(ctx, format!("{}/autotune", stage)).await;
-                let inputs = client
-                    .list(ctx, bucket, input)
-                    .await
-                    .map_err(|e| format!("autotune list failed: {}", e))?;
-                let modeled: f64 = inputs
-                    .iter()
-                    .map(|o| store.config().scaled_len(o.len.as_u64() as usize) as f64)
-                    .sum();
-                let faas_cfg = self.services.faas.config();
-                // The probe measured the driver's connection; functions
-                // are additionally capped by their container NIC.
-                let tuner = Autotuner {
-                    measured_conn_bw: tuner
-                        .measured_conn_bw
-                        .min(faas_cfg.nic_bw.as_bytes_per_sec()),
-                    ..tuner
+        // One decision path: plan whenever W or the backend is `auto`
+        // (an explicit backend keeps its own I/O window), otherwise run
+        // the stage as given.
+        let (workers, exchange, io_concurrency) = match (choice, exchange) {
+            (WorkerChoice::Fixed(n), kind) if kind != ExchangeKind::Auto => {
+                (n, kind, io_concurrency.unwrap_or(self.io_concurrency))
+            }
+            _ => {
+                let io_concurrency = if exchange == ExchangeKind::Auto {
+                    io_concurrency
+                } else {
+                    Some(io_concurrency.unwrap_or(self.io_concurrency))
                 };
-                let model = tuner.model(
-                    modeled,
-                    inputs.len(),
-                    store,
-                    faas_cfg.cold_start.as_secs_f64(),
-                    faas_cfg.cpu_share(),
-                    self.work.sort_mibps * 1024.0 * 1024.0,
-                    self.work.merge_mibps * 1024.0 * 1024.0,
-                    self.max_autotune_workers,
-                );
-                let w = model.best_workers();
-                self.tracker.note(
-                    ctx,
-                    stage,
-                    format!(
-                        "autotuner picked {} workers (measured {:.0} ms latency, {:.0} MiB/s)",
-                        w,
-                        tuner.measured_latency_s * 1e3,
-                        tuner.measured_conn_bw / (1024.0 * 1024.0)
-                    ),
-                );
-                w
+                let plan = self
+                    .plan_stage(
+                        ctx,
+                        bucket,
+                        stage,
+                        input,
+                        choice,
+                        exchange,
+                        io_concurrency,
+                        downstream_encode,
+                    )
+                    .await?;
+                (plan.workers, plan.exchange, plan.io_concurrency)
             }
         };
-        self.run_shuffle(
-            ctx,
-            bucket,
-            stage,
-            workers,
-            exchange,
-            io_concurrency,
-            input,
-            output,
-        )
-        .await
-    }
-
-    /// Runs the serverless sort with fully resolved knobs (the shared
-    /// tail of the explicit and planned shuffle paths).
-    #[allow(clippy::too_many_arguments)]
-    async fn run_shuffle(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        stage: &str,
-        workers: usize,
-        exchange: ExchangeKind,
-        io_concurrency: usize,
-        input: &str,
-        output: &str,
-    ) -> Result<(usize, u64), String> {
         let cfg = SortConfig {
             workers,
             bucket: bucket.to_string(),
@@ -1038,7 +950,7 @@ mod tests {
             StageKind::ShuffleSort {
                 workers: WorkerChoice::Auto,
                 exchange: ExchangeKind::Coalesced,
-                io_concurrency: None,
+                io_concurrency: Some(2),
                 input: "in/".into(),
                 output: "sorted/".into(),
             },
@@ -1049,7 +961,13 @@ mod tests {
         sim.run().expect("sim ok");
         let results = handle.ok_results().expect("ok");
         assert!((1..=64).contains(&results[0].workers_used));
-        assert!(tracker.render().contains("autotuner picked"));
+        // The planner chose W only: the stage's backend and K survive.
+        let log = tracker.render();
+        let note = format!(
+            "planner picked W={}, K=2, coalesced (",
+            results[0].workers_used
+        );
+        assert!(log.contains(&note), "{}", log);
     }
 
     #[test]

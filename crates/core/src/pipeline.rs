@@ -18,11 +18,12 @@ use std::fmt;
 use bytes::Bytes;
 
 use faaspipe_des::{Money, Sim, SimDuration, SimError, SimReport, SimTime};
-use faaspipe_exchange::ExchangeKind;
+use faaspipe_exchange::{DirectConfig, ExchangeKind, RelayConfig};
 use faaspipe_faas::{FaasConfig, FunctionPlatform};
 use faaspipe_methcomp::codec as mc_codec;
 use faaspipe_methcomp::synth::Synthesizer;
 use faaspipe_methcomp::MethRecord;
+use faaspipe_plan::{ModelParams, Workload};
 use faaspipe_shuffle::{SortConfig, SortRecord, WorkModel};
 use faaspipe_store::{ObjectStore, StoreConfig};
 use faaspipe_trace::{Category, SpanId, TraceData, TraceSink};
@@ -92,7 +93,7 @@ pub struct PipelineConfig {
     pub encode_codec: EncodeCodec,
     /// Calibrated model parameters for `exchange = auto` planning.
     /// `None` plans from config-derived defaults.
-    pub plan_params: Option<faaspipe_plan::ModelParams>,
+    pub plan_params: Option<ModelParams>,
     /// Record a full execution trace (spans + counters) into
     /// [`PipelineOutcome::trace`]. Off by default: the disabled sink
     /// keeps instrumentation out of the hot path.
@@ -128,6 +129,33 @@ impl PipelineConfig {
     pub fn size_scale(&self) -> f64 {
         let physical = (self.physical_records * MethRecord::WIRE_SIZE) as f64;
         self.modeled_bytes as f64 / physical
+    }
+
+    /// The planner's view of this configuration's sort stage, with even
+    /// input chunks: one sample read fetches the scaled `sample_bytes`
+    /// cap, clamped to the chunk. `encode_workers` is 0 (the sort stage
+    /// alone); set it to `parallelism` to add the encode tail.
+    pub fn sort_workload(&self) -> Workload {
+        let chunk_wire = self.modeled_bytes as f64 / self.parallelism as f64;
+        let sample_cap = SortConfig::default().sample_bytes as f64 * self.size_scale();
+        Workload {
+            data_bytes: self.modeled_bytes as f64,
+            input_chunks: self.parallelism,
+            sample_read_bytes: sample_cap.min(chunk_wire),
+            encode_workers: 0,
+        }
+    }
+
+    /// Model parameters derived from this configuration's services: what
+    /// the executor plans with when `plan_params` is `None`.
+    pub fn model_params(&self) -> ModelParams {
+        ModelParams::from_configs(
+            &self.store,
+            &self.faas,
+            &RelayConfig::default(),
+            &DirectConfig::default(),
+            &self.work,
+        )
     }
 }
 

@@ -35,7 +35,8 @@ pub enum ExchangeKind {
     Scatter,
     /// Object store, one coalesced object per mapper.
     Coalesced,
-    /// Pocket-style in-memory relay on a provisioned VM.
+    /// Pocket-style in-memory relay on a provisioned VM: the relay
+    /// fleet with one cold shard, under the paper's name.
     VmRelay,
     /// Direct function-to-function streaming (sender and receiver meet).
     Direct,
@@ -85,6 +86,17 @@ impl ExchangeKind {
         match self {
             ExchangeKind::Coalesced => ExchangeStrategy::Coalesced,
             _ => ExchangeStrategy::Scatter,
+        }
+    }
+
+    /// The relay fleet a relay kind runs on, as `(shards, prewarm)`:
+    /// [`VmRelay`](ExchangeKind::VmRelay) is one cold shard. `None` for
+    /// every other kind.
+    pub fn relay_fleet(self) -> Option<(usize, bool)> {
+        match self {
+            ExchangeKind::VmRelay => Some((1, false)),
+            ExchangeKind::ShardedRelay { shards, prewarm } => Some((shards.max(1), prewarm)),
+            _ => None,
         }
     }
 }
@@ -212,10 +224,6 @@ impl ExchangeEnv {
 ///
 /// Methods return boxed local futures so the trait stays object-safe.
 pub trait DataExchange: fmt::Debug + Send + Sync {
-    /// A short stable name for traces and tables (e.g. `"cos"`,
-    /// `"vm-relay"`, `"direct"`).
-    fn name(&self) -> &'static str;
-
     /// Driver-side setup before the map phase: allocates bookkeeping for
     /// a `maps` × `parts` exchange and provisions backing resources (the
     /// VM-relay backend pays its provisioning delay here).
@@ -485,6 +493,21 @@ mod tests {
             .layout(),
             ExchangeStrategy::Scatter
         );
+    }
+
+    #[test]
+    fn vm_relay_is_the_one_cold_shard_fleet() {
+        assert_eq!(ExchangeKind::VmRelay.relay_fleet(), Some((1, false)));
+        assert_eq!(
+            ExchangeKind::ShardedRelay {
+                shards: 4,
+                prewarm: true
+            }
+            .relay_fleet(),
+            Some((4, true))
+        );
+        assert_eq!(ExchangeKind::Coalesced.relay_fleet(), None);
+        assert_eq!(ExchangeKind::Direct.relay_fleet(), None);
     }
 
     #[test]

@@ -235,10 +235,6 @@ impl DirectCore {
 }
 
 impl DataExchange for DirectExchange {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
     fn prepare<'a>(
         &'a self,
         _ctx: &'a mut Ctx,

@@ -311,13 +311,6 @@ enum Fetch {
 }
 
 impl DataExchange for ObjectStoreExchange {
-    fn name(&self) -> &'static str {
-        match self.layout {
-            ExchangeStrategy::Scatter => "cos-scatter",
-            ExchangeStrategy::Coalesced => "cos-coalesced",
-        }
-    }
-
     fn prepare<'a>(
         &'a self,
         _ctx: &'a mut Ctx,

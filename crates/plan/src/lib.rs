@@ -21,8 +21,12 @@
 //! 3. [`planner`] — a **planner** that enumerates and prunes the
 //!    (W, K, backend, shards) space against the model and returns the
 //!    predicted-optimal concrete configuration ([`Planner`], [`Plan`],
-//!    [`SearchSpace`]). The executor exposes it end to end as
-//!    `--exchange auto` / `"exchange": "auto"`.
+//!    [`SearchSpace`]), plus the latency/cost Pareto frontier
+//!    ([`Planner::frontier`]). The executor exposes it end to end as
+//!    `--exchange auto` / `"exchange": "auto"`, and as `"workers":
+//!    "auto"` with the stage's backend and I/O window pinned; `faaspipe
+//!    tune` asks it offline. It is the repository's one worker-count
+//!    model.
 //!
 //! The model mirrors the simulator's mechanics (see DESIGN.md
 //! "Planner" for the equations); E19 (`repro_autotuner`) validates its

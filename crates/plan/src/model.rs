@@ -335,15 +335,14 @@ impl ModelParams {
         let d = wl.data_bytes / w; // per-function bytes
         let lat = self.store_latency_s;
         let bw = self.store_bw(w);
-        let (relay_shards, relay_prewarm) = match cand.exchange {
-            ExchangeKind::VmRelay => (1.0, false),
-            ExchangeKind::ShardedRelay { shards, prewarm } => (shards.max(1) as f64, prewarm),
-            _ => (0.0, false),
+        let (shards, prewarm) = match cand.exchange.relay_fleet() {
+            Some((shards, prewarm)) => (shards as f64, prewarm),
+            None => (0.0, false),
         };
 
         // ---- prepare: driver LIST, plus blocking relay provisioning. ----
         let mut prepare_s = lat;
-        if relay_shards > 0.0 && !relay_prewarm {
+        if shards > 0.0 && !prewarm {
             prepare_s += self.relay_provision_s;
         }
 
@@ -375,7 +374,7 @@ impl ModelParams {
             ExchangeKind::Direct => (windows(w, k) * self.direct_handshake_s, 0.0),
             ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => (
                 windows(w, k) * self.relay_latency_s
-                    + self.relay_transfer_s(d, wl.data_bytes, relay_shards),
+                    + self.relay_transfer_s(d, wl.data_bytes, shards),
                 0.0,
             ),
             ExchangeKind::Auto => unreachable!(),
@@ -387,7 +386,7 @@ impl ModelParams {
         // A pre-warmed relay boots in the background from `prepare`; the
         // first map-phase request blocks for whatever boot time the
         // sampling and map compute did not hide.
-        if relay_shards > 0.0 && relay_prewarm {
+        if shards > 0.0 && prewarm {
             let hidden = sample_s
                 + self.orchestration_s
                 + self.cold_start_s
@@ -409,7 +408,7 @@ impl ModelParams {
             ),
             ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => (
                 windows(w, k) * self.relay_latency_s
-                    + self.relay_transfer_s(d, wl.data_bytes, relay_shards),
+                    + self.relay_transfer_s(d, wl.data_bytes, shards),
                 0.0,
             ),
             ExchangeKind::Auto => unreachable!(),
@@ -508,16 +507,12 @@ impl ModelParams {
         let req_cost = class_a / 1_000.0 * p.class_a_per_k + class_b / 1_000.0 * p.class_b_per_k;
 
         // Relay VMs bill from provisioning start to stage cleanup.
-        let vm_cost = match cand.exchange {
-            ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => {
-                let shards = match cand.exchange {
-                    ExchangeKind::ShardedRelay { shards, .. } => shards.max(1) as f64,
-                    _ => 1.0,
-                };
+        let vm_cost = match cand.exchange.relay_fleet() {
+            Some((shards, _)) => {
                 let billed = self.relay_provision_s + prepare_s + sample_s + map_s + reduce_s;
-                shards * billed / 3_600.0 * p.vm_per_hour
+                shards as f64 * billed / 3_600.0 * p.vm_per_hour
             }
-            _ => 0.0,
+            None => 0.0,
         };
         fn_cost + req_cost + vm_cost
     }

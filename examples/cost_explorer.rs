@@ -4,68 +4,47 @@
 //! The paper "qualitatively evaluate[s] the pros and cons of each
 //! strategy"; this example makes the trade-off quantitative — every
 //! extra function shaves latency but burns GB-seconds and requests.
+//! The planner's model prices every worker count of the Table-1 sort
+//! stage (scatter exchange, default I/O window).
 //!
 //! ```text
 //! cargo run --release --example cost_explorer
 //! ```
 
 use faaspipe::core::pipeline::PipelineConfig;
-use faaspipe::shuffle::{TuningModel, TuningPrices, WorkModel};
-
-fn model() -> TuningModel {
-    let cfg = PipelineConfig::paper_table1();
-    let work = WorkModel::default();
-    TuningModel {
-        data_bytes: cfg.modeled_bytes as f64,
-        input_chunks: cfg.parallelism,
-        request_latency_s: cfg.store.first_byte_latency.as_secs_f64(),
-        conn_bw: cfg
-            .store
-            .per_connection_bw
-            .as_bytes_per_sec()
-            .min(cfg.faas.nic_bw.as_bytes_per_sec()),
-        agg_bw: cfg.store.aggregate_bw.as_bytes_per_sec(),
-        ops_per_sec: cfg.store.ops_per_sec,
-        startup_s: cfg.faas.cold_start.as_secs_f64(),
-        cpu_share: cfg.faas.cpu_share(),
-        sort_bps: work.sort_mibps * 1024.0 * 1024.0,
-        merge_bps: work.merge_mibps * 1024.0 * 1024.0,
-        max_workers: 128,
-    }
-}
+use faaspipe::plan::{Planner, SearchSpace};
 
 fn main() {
-    let m = model();
-    let prices = TuningPrices::default();
+    let cfg = PipelineConfig::paper_table1();
+    let space = SearchSpace::default()
+        .cap_workers(128)
+        .pin_io(cfg.io_concurrency)
+        .pin_exchange(cfg.exchange);
+    let planner = Planner::new(cfg.model_params()).with_space(space);
+    let wl = cfg.sort_workload();
 
-    println!("Pareto frontier for the paper's 3.5 GB shuffle (sampled):");
+    println!("Pareto frontier for the paper's 3.5 GB shuffle:");
     println!("workers  modelled latency(s)  modelled cost($)");
-    let frontier = m.pareto(&prices);
-    let step = frontier.len().div_ceil(14).max(1);
-    for (i, (w, latency, cost)) in frontier.iter().enumerate() {
-        if i % step == 0 || i == frontier.len() - 1 {
-            println!("{:>7}  {:>19.1}  {:>15.4}", w, latency, cost);
-        }
+    for plan in planner.frontier(&wl) {
+        println!(
+            "{:>7}  {:>19.1}  {:>15.4}",
+            plan.workers, plan.predicted.makespan_s, plan.predicted.cost_dollars
+        );
     }
 
     println!("\nwhat a budget buys:");
     println!("budget($)   workers  latency(s)  cost($)");
     for budget in [0.005f64, 0.01, 0.02, 0.04, 0.10] {
-        let w = m.best_workers_under_budget(budget, &prices);
+        let plan = planner.plan_within(&wl, budget);
         println!(
             "{:>9.3}  {:>8}  {:>10.1}  {:>7.4}",
-            budget,
-            w,
-            m.breakdown(w).total_s(),
-            m.cost_with(w, &prices)
+            budget, plan.workers, plan.predicted.makespan_s, plan.predicted.cost_dollars
         );
     }
 
-    let unconstrained = m.best_workers();
+    let fastest = planner.plan(&wl);
     println!(
         "\nlatency-optimal (no budget): {} workers, {:.1}s, ${:.4}",
-        unconstrained,
-        m.breakdown(unconstrained).total_s(),
-        m.cost_with(unconstrained, &prices)
+        fastest.workers, fastest.predicted.makespan_s, fastest.predicted.cost_dollars
     );
 }

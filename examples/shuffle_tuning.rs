@@ -1,81 +1,88 @@
-//! Primula in action: probe the object store "on the fly", model the
-//! shuffle makespan for every worker count, and show the three regimes
-//! the paper's worker-count claim rests on.
+//! Primula's question — how many functions should a shuffle use? — put
+//! to the planner's analytic model: the modelled sort-stage makespan for
+//! every worker count, and the regimes the paper's worker-count claim
+//! rests on: too few functions are bandwidth-bound, too many
+//! request-bound, and the optimum sits between.
 //!
 //! ```text
 //! cargo run --release --example shuffle_tuning
 //! ```
 
-use std::sync::Arc;
+use faaspipe::core::pipeline::PipelineConfig;
+use faaspipe::plan::{Candidate, ModelParams, Planner, SearchSpace};
 
-use parking_lot::Mutex;
-
-use faaspipe::des::Sim;
-use faaspipe::shuffle::{Autotuner, TuningModel};
-use faaspipe::store::{ObjectStore, StoreConfig};
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Probe a simulated COS the way Primula would probe the real one.
-    let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, StoreConfig::default());
-    store.create_bucket("data")?;
-    let measured: Arc<Mutex<Option<Autotuner>>> = Arc::new(Mutex::new(None));
-    let store2 = Arc::clone(&store);
-    let measured2 = Arc::clone(&measured);
-    sim.spawn("prober", move |mut ctx| async move {
-        let tuner = Autotuner::probe(&mut ctx, &store2, "data")
-            .await
-            .expect("probe");
-        *measured2.lock() = Some(tuner);
-    });
-    sim.run()?;
-    let tuner = measured.lock().take().expect("probe ran");
+fn main() {
+    let cfg = PipelineConfig::paper_table1();
+    let params = cfg.model_params();
+    let wl = cfg.sort_workload();
     println!(
-        "measured on the fly: request latency {:.1} ms, per-connection {:.0} MiB/s",
-        tuner.measured_latency_s * 1e3,
-        tuner.measured_conn_bw / (1024.0 * 1024.0)
+        "model: request latency {:.1} ms, per-function {:.0} MiB/s, {:.0} store ops/s",
+        params.store_latency_s * 1e3,
+        params.store_conn_bps.min(params.fn_nic_bps) / (1024.0 * 1024.0),
+        params.store_ops_per_sec
     );
 
-    // Model a 3.5 GB shuffle with those measurements.
-    let model: TuningModel = tuner.model(
-        3.5e9,
-        8,
-        &store,
-        0.52, // cold start, s
-        1.0,  // vCPU share at 2 GB
-        95.0 * 1024.0 * 1024.0,
-        180.0 * 1024.0 * 1024.0,
-        128,
-    );
-    println!("\nworkers  total(s)  transfer  requests  compute   regime");
-    for w in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-        let b = model.breakdown(w);
-        let regime = if b.transfer_s > b.request_s && b.transfer_s > b.compute_s {
-            "bandwidth-bound"
-        } else if b.request_s > b.transfer_s {
-            "request-bound"
-        } else {
-            "compute-bound"
+    // A stage's regime is the resource that, made twice as plentiful,
+    // shortens it the most.
+    let regimes = [
+        (
+            "bandwidth-bound",
+            ModelParams {
+                store_conn_bps: 2.0 * params.store_conn_bps,
+                fn_nic_bps: 2.0 * params.fn_nic_bps,
+                store_agg_bps: 2.0 * params.store_agg_bps,
+                ..params.clone()
+            },
+        ),
+        (
+            "request-bound",
+            ModelParams {
+                store_latency_s: params.store_latency_s / 2.0,
+                store_ops_per_sec: 2.0 * params.store_ops_per_sec,
+                ..params.clone()
+            },
+        ),
+        (
+            "compute-bound",
+            ModelParams {
+                parse_bps: 2.0 * params.parse_bps,
+                sort_bps: 2.0 * params.sort_bps,
+                partition_bps: 2.0 * params.partition_bps,
+                merge_bps: 2.0 * params.merge_bps,
+                ..params.clone()
+            },
+        ),
+    ];
+    println!("\nworkers  total(s)  sample     map  reduce   regime");
+    for workers in [2usize, 4, 8, 16, 32, 64, 128] {
+        let cand = Candidate {
+            workers,
+            io_concurrency: cfg.io_concurrency,
+            exchange: cfg.exchange,
         };
+        let e = params.estimate(&wl, &cand);
+        let (regime, _) = regimes
+            .iter()
+            .map(|(name, p)| (name, e.makespan_s - p.estimate(&wl, &cand).makespan_s))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("three regimes");
         println!(
-            "{:>7}  {:>8.1}  {:>8.1}  {:>8.1}  {:>7.1}   {}",
-            w,
-            b.total_s(),
-            b.transfer_s,
-            b.request_s,
-            b.compute_s,
-            regime
+            "{:>7}  {:>8.1}  {:>6.1}  {:>6.1}  {:>6.1}   {}",
+            workers, e.makespan_s, e.sample_s, e.map_s, e.reduce_s, regime
         );
     }
-    let best = model.best_workers();
+
+    let space = SearchSpace::default()
+        .cap_workers(128)
+        .pin_io(cfg.io_concurrency)
+        .pin_exchange(cfg.exchange);
+    let best = Planner::new(params).with_space(space).plan(&wl);
     println!(
         "\noptimal number of functions for this shuffle: {} ({:.1}s modelled)",
-        best,
-        model.breakdown(best).total_s()
+        best.workers, best.predicted.makespan_s
     );
     println!(
         "modelled cost at the optimum: ${:.4}",
-        model.cost_dollars(best, 2.0, 0.000017, 0.005, 0.0004)
+        best.predicted.cost_dollars
     );
-    Ok(())
 }

@@ -8,7 +8,7 @@
 //! faaspipe synth --records N --out F      generate synthetic WGBS bedMethyl
 //! faaspipe compress <in.bed> <out.mc>     METHCOMP-compress a bedMethyl file
 //! faaspipe decompress <in.mc> <out.bed>   decompress a METHCOMP archive
-//! faaspipe tune --gb X [--chunks N]       recommend a shuffle worker count
+//! faaspipe tune --gb X [--chunks N]       plan a shuffle's worker count
 //! faaspipe cluster [--tenants N] [--rate R] [--horizon S]
 //!                                         multi-tenant cluster simulation
 //! ```
@@ -35,7 +35,8 @@ use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::methcomp::codec as mc;
 use faaspipe::methcomp::synth::Synthesizer;
 use faaspipe::methcomp::Dataset;
-use faaspipe::shuffle::{SortConfig, SortRecord, TuningModel, TuningPrices, WorkModel};
+use faaspipe::plan::{Planner, SearchSpace};
+use faaspipe::shuffle::{SortConfig, SortRecord, WorkModel};
 use faaspipe::store::{ObjectStore, StoreConfig};
 use faaspipe::trace::{chrome_trace_json, critical_path, Category, SpanId, TraceData, TraceSink};
 use faaspipe::vm::VmFleet;
@@ -467,51 +468,47 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 
 fn cmd_tune(args: &[String]) -> Result<(), String> {
     let gb: f64 = flag_parse(args, "--gb", 0.0)?;
-    if gb <= 0.0 {
+    if !gb.is_finite() || gb <= 0.0 {
         return Err("tune requires --gb <size>".into());
     }
     let chunks: usize = flag_parse(args, "--chunks", 8)?;
     let max_workers: usize = flag_parse(args, "--max-workers", 128)?;
-    let store_cfg = StoreConfig::default();
-    let faas_cfg = FaasConfig::default();
-    let work = WorkModel::default();
-    let model = TuningModel {
-        data_bytes: gb * 1e9,
-        input_chunks: chunks,
-        request_latency_s: store_cfg.first_byte_latency.as_secs_f64(),
-        conn_bw: store_cfg.per_connection_bw.as_bytes_per_sec(),
-        agg_bw: store_cfg.aggregate_bw.as_bytes_per_sec(),
-        ops_per_sec: store_cfg.ops_per_sec,
-        startup_s: faas_cfg.cold_start.as_secs_f64(),
-        cpu_share: faas_cfg.cpu_share(),
-        sort_bps: work.sort_mibps * 1024.0 * 1024.0,
-        merge_bps: work.merge_mibps * 1024.0 * 1024.0,
-        max_workers,
-    };
-    let prices = TuningPrices::default();
+    // The Table-1 pipeline's sort stage at this size: the planner picks
+    // W for its scatter exchange at the configured I/O window.
+    let mut cfg = PipelineConfig::paper_table1();
+    cfg.modeled_bytes = (gb * 1e9) as u64;
+    cfg.parallelism = chunks.max(1);
+    let space = SearchSpace::default()
+        .cap_workers(max_workers)
+        .pin_io(cfg.io_concurrency)
+        .pin_exchange(cfg.exchange);
+    let planner = Planner::new(cfg.model_params()).with_space(space);
+    let workload = cfg.sort_workload();
     let best = match flag(args, "--budget")? {
-        None => model.best_workers(),
+        None => planner.plan(&workload),
         Some(v) => {
             let budget: f64 = v
                 .parse()
                 .map_err(|_| format!("invalid value '{}' for --budget", v))?;
-            model.best_workers_under_budget(budget, &prices)
+            planner.plan_within(&workload, budget)
         }
     };
-    let b = model.breakdown(best);
-    println!("recommended workers for a {:.1} GB shuffle: {}", gb, best);
+    let e = &best.predicted;
     println!(
-        "modelled makespan {:.1}s (startup {:.1}, transfer {:.1}, requests {:.1}, compute {:.1})",
-        b.total_s(),
-        b.startup_s,
-        b.transfer_s,
-        b.request_s,
-        b.compute_s
+        "recommended workers for a {:.1} GB shuffle: {}",
+        gb, best.workers
     );
-    println!("modelled cost ${:.4}", model.cost_with(best, &prices));
+    println!(
+        "modelled makespan {:.1}s (prepare {:.1}, sample {:.1}, map {:.1}, reduce {:.1})",
+        e.makespan_s, e.prepare_s, e.sample_s, e.map_s, e.reduce_s
+    );
+    println!("modelled cost ${:.4}", e.cost_dollars);
     println!("pareto frontier (workers, latency s, cost $):");
-    for (w, l, c) in model.pareto(&prices) {
-        println!("  {:>4}  {:>7.1}  {:>8.4}", w, l, c);
+    for plan in planner.frontier(&workload) {
+        println!(
+            "  {:>4}  {:>7.1}  {:>8.4}",
+            plan.workers, plan.predicted.makespan_s, plan.predicted.cost_dollars
+        );
     }
     Ok(())
 }

@@ -14,7 +14,7 @@ use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMo
 use faaspipe::des::{Money, Sim};
 use faaspipe::exchange::{
     DataExchange, DirectConfig, DirectExchange, ExchangeKind, RelayConfig, ShardedRelayConfig,
-    ShardedRelayExchange, VmRelayExchange,
+    ShardedRelayExchange,
 };
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::shuffle::{serverless_sort, SortConfig, SortRecord};
@@ -58,12 +58,9 @@ fn run_bytes_k(
     }
     let backend: Option<Arc<dyn DataExchange>> = match kind {
         ExchangeKind::Scatter | ExchangeKind::Coalesced => None,
-        ExchangeKind::VmRelay => Some(Arc::new(VmRelayExchange::new(
-            VmFleet::new(),
-            RelayConfig::default(),
-        ))),
         ExchangeKind::Direct => Some(Arc::new(DirectExchange::new(DirectConfig::default()))),
-        ExchangeKind::ShardedRelay { shards, prewarm } => {
+        ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => {
+            let (shards, prewarm) = kind.relay_fleet().expect("a relay kind");
             Some(Arc::new(ShardedRelayExchange::new(
                 VmFleet::new(),
                 ShardedRelayConfig {
@@ -221,6 +218,36 @@ fn same_seed_runs_are_trace_deterministic_for_every_backend() {
         assert_eq!(a.latency, b.latency, "{}: same-seed latency", kind);
         assert_eq!(a.cost.total(), b.cost.total(), "{}: same-seed cost", kind);
     }
+}
+
+/// `vm_relay` is the relay fleet with one cold shard, not a second
+/// implementation: a traced pipeline run through it and one through
+/// `sharded_relay:1` are the same simulation, down to the exported trace
+/// bytes (the single shard keeps the plain `relay` label).
+#[test]
+fn vm_relay_is_the_one_cold_shard_fleet_byte_for_byte() {
+    let traced = |kind: ExchangeKind| {
+        let mut cfg = PipelineConfig::paper_table1();
+        cfg.mode = PipelineMode::PureServerless;
+        cfg.physical_records = 15_000;
+        cfg.exchange = kind;
+        cfg.io_concurrency = 4;
+        cfg.trace = true;
+        run_methcomp_pipeline(&cfg).expect("pipeline ok")
+    };
+    let vm = traced(ExchangeKind::VmRelay);
+    let one = traced(ExchangeKind::ShardedRelay {
+        shards: 1,
+        prewarm: false,
+    });
+    assert!(vm.verified && one.verified, "both runs verify");
+    assert_eq!(vm.latency, one.latency);
+    assert_eq!(vm.sim.events, one.sim.events);
+    assert_eq!(vm.cost.total(), one.cost.total());
+    let (a, b) = (chrome_trace_json(&vm.trace), chrome_trace_json(&one.trace));
+    assert!(a.contains("relay/"), "the shard's keys carry its label");
+    assert!(a == b, "chrome exports differ");
+    assert_eq!(counters_csv(&vm.trace), counters_csv(&one.trace));
 }
 
 /// An end-to-end sharded run provisions (and bills) one VM per shard,

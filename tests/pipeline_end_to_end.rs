@@ -54,7 +54,16 @@ fn autotuned_pipeline_runs() {
     let outcome = run_methcomp_pipeline(&cfg).expect("pipeline");
     assert!(outcome.verified);
     assert!(outcome.sort_workers >= 1);
-    assert!(outcome.tracker_log.contains("autotuner picked"));
+    // The planner chose W only: the configured backend and K survive.
+    let note = format!(
+        "planner picked W={}, K={}, {} (",
+        outcome.sort_workers, cfg.io_concurrency, cfg.exchange
+    );
+    assert!(
+        outcome.tracker_log.contains(&note),
+        "{}",
+        outcome.tracker_log
+    );
 }
 
 #[test]
