@@ -449,62 +449,17 @@ impl Ctx {
         T: 'static,
         F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let total = jobs.len();
-        let workers = window.max(1).min(total);
-        let slots = (0..total).map(|_| None).collect();
-        self.fan_out_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
-            .await
-    }
-
-    /// Sparse variant of [`Ctx::fan_out`]: runs only the supplied
-    /// `(slot, job)` pairs of a logical `total`-job fan-out, filling
-    /// every elided slot with `fill()` — but spawns exactly the worker
-    /// processes the *logical* fan-out would (`min(window.max(1),
-    /// total)`), so pid assignment and the virtual-time schedule do not
-    /// depend on how many jobs the caller elided. Exchange backends use
-    /// this to skip zero-byte fetches (which touch no simulated
-    /// resource) without perturbing the simulation.
-    ///
-    /// Job slots must be unique and `< total`; jobs run in the order
-    /// given.
-    ///
-    /// # Errors
-    /// Same contract as [`Ctx::fan_out`].
-    pub async fn fan_out_sparse<T, F>(
-        &self,
-        name: &str,
-        window: usize,
-        total: usize,
-        jobs: Vec<(usize, F)>,
-        mut fill: impl FnMut() -> T,
-    ) -> Result<Vec<T>, JoinError>
-    where
-        T: 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
-    {
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = window.max(1).min(total);
-        let mut slots: Vec<Option<T>> = (0..total).map(|_| Some(fill())).collect();
-        for &(i, _) in &jobs {
-            slots[i] = None;
-        }
-        self.fan_out_driver(name, workers, jobs, slots).await
+        self.fan_out_pinned(name, window, jobs.len(), jobs).await
     }
 
     /// Worker-pinned fan-out: runs `jobs` with the worker processes a
     /// `logical_total`-job fan-out would spawn (`min(window.max(1),
     /// logical_total)`), even when `jobs` is shorter — or empty. Results
-    /// come back in job order (compact: one entry per job, unlike
-    /// [`Ctx::fan_out_sparse`] which returns the logical length).
+    /// come back in job order, one entry per job.
     ///
-    /// This is the fully-sparse sibling of `fan_out_sparse` for
-    /// callers that never want to materialise a `logical_total`-length
-    /// vector at all; a `logical_total` of `0` runs nothing.
+    /// Callers that elide jobs which touch no simulated resource use this
+    /// to keep pid assignment and the virtual-time schedule identical to
+    /// the full fan-out; a `logical_total` of `0` runs nothing.
     ///
     /// # Errors
     /// Same contract as [`Ctx::fan_out`].
@@ -523,27 +478,10 @@ impl Ctx {
             return Ok(Vec::new());
         }
         let workers = window.max(1).min(logical_total);
-        let slots = (0..jobs.len()).map(|_| None).collect();
-        self.fan_out_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
-            .await
-    }
-
-    /// Shared engine behind the async fan-outs: `workers` queue-draining
-    /// tasks over pre-indexed `jobs`, results scattered into `slots`
-    /// (already holding the fill value for any slot no job will write).
-    async fn fan_out_driver<T, F>(
-        &self,
-        name: &str,
-        workers: usize,
-        jobs: Vec<(usize, F)>,
-        slots: Vec<Option<T>>,
-    ) -> Result<Vec<T>, JoinError>
-    where
-        T: 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
-    {
-        let queue: Rc<RefCell<VecDeque<(usize, F)>>> = Rc::new(RefCell::new(jobs.into()));
-        let results: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new(slots));
+        let results: Rc<RefCell<Vec<Option<T>>>> =
+            Rc::new(RefCell::new((0..jobs.len()).map(|_| None).collect()));
+        let queue: Rc<RefCell<VecDeque<(usize, F)>>> =
+            Rc::new(RefCell::new(jobs.into_iter().enumerate().collect()));
         let mut pids = Vec::with_capacity(workers);
         for w in 0..workers {
             let queue = Rc::clone(&queue);

@@ -991,6 +991,29 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_pinned_spawns_the_logical_worker_count() {
+        let mut sim = Sim::new();
+        sim.spawn("parent", |ctx| async move {
+            // 3 jobs of a logical 8 at window 4: four workers, one idle.
+            let jobs: Vec<_> = (0..3u64)
+                .map(|i| {
+                    async move |cctx: &mut Ctx| {
+                        cctx.sleep(SimDuration::from_millis(30 - 10 * i)).await;
+                        i + 1
+                    }
+                })
+                .collect();
+            let out = ctx
+                .fan_out_pinned("pinned", 4, 8, jobs)
+                .await
+                .expect("fan_out_pinned ok");
+            assert_eq!(out, vec![1, 2, 3]);
+        });
+        let report = sim.run().expect("run");
+        assert_eq!(report.processes, 5, "the parent plus four workers");
+    }
+
+    #[test]
     fn fan_out_window_bounds_concurrency() {
         // 4 one-second jobs through a window of 2 take exactly 2 s, and
         // never more than 2 run at once.

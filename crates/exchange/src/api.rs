@@ -183,12 +183,13 @@ pub struct ExchangeEnv {
     /// Attempts per exchange request (fed to
     /// [`with_retry`](crate::with_retry)).
     pub retries: u32,
-    /// Maximum concurrent in-flight requests a batched exchange call
-    /// ([`DataExchange::read_partitions`], and the batched write paths)
-    /// may keep open at once. `1` (the historical behavior) means
-    /// strictly sequential requests on the caller's process — backends
-    /// must not spawn helpers in that case so request ordering and rng
-    /// draws are bit-identical to the pre-windowed code.
+    /// Maximum concurrent in-flight requests of one batched exchange call
+    /// ([`DataExchange::write_run`], [`DataExchange::read_gather`]). Every
+    /// batch goes through the crate's one request funnel
+    /// (`run_requests`), which fans out only when this exceeds `1`. At `1` (the historical behavior) the
+    /// requests run strictly in sequence on the caller's process and no
+    /// helper is spawned, so request order and rng draws are
+    /// bit-identical to the pre-windowed code.
     pub io_window: usize,
 }
 
@@ -209,60 +210,37 @@ impl ExchangeEnv {
 /// reducers.
 ///
 /// The shuffle calls [`prepare`](DataExchange::prepare) once from the
-/// driver, then every mapper hands its partition vector to
-/// [`write_partitions`](DataExchange::write_partitions), every reducer
-/// pulls its column with [`read_partition`](DataExchange::read_partition),
-/// and the driver ends with [`cleanup`](DataExchange::cleanup). All
-/// methods charge virtual time (latency, bandwidth via the fluid-flow
-/// network, provisioning where applicable) and record trace spans; all
-/// transient faults are absorbed by the shared retry helper using
-/// `env.retries`.
+/// driver, then every mapper hands its sorted run to
+/// [`write_run`](DataExchange::write_run), every reducer pulls its
+/// column with [`read_gather`](DataExchange::read_gather), and the
+/// driver ends with [`cleanup`](DataExchange::cleanup). All methods
+/// charge virtual time (latency, bandwidth via the fluid-flow network,
+/// provisioning where applicable) and record trace spans; all transient
+/// faults are absorbed by the shared retry helper using `env.retries`.
 ///
 /// Implementations must be idempotent under re-invocation: a crashed
 /// mapper's re-run re-writes the same partitions, a reducer may read the
-/// same partition twice.
+/// same column twice.
 ///
 /// Methods return boxed local futures so the trait stays object-safe.
 pub trait DataExchange: fmt::Debug + Send + Sync {
     /// Driver-side setup before the map phase: allocates bookkeeping for
-    /// a `maps` × `parts` exchange and provisions backing resources (the
-    /// VM-relay backend pays its provisioning delay here).
+    /// `maps` mappers and provisions backing resources (the relay
+    /// backends pay their provisioning delay here).
     fn prepare<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         maps: usize,
-        parts: usize,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
-
-    /// Stores mapper `map`'s partitions (`parts[j]` goes to reducer
-    /// `j`). Returns the number of payload bytes written.
-    fn write_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        parts: Vec<Bytes>,
-    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>>;
 
     /// Stores mapper `map`'s partitions given as one contiguous `run`
     /// buffer plus its sparse cut list: `cuts[i] = (part, offset, len)`
-    /// says partition `part` is `run[offset..offset + len]`, cuts are
-    /// part-ascending and non-overlapping, and every partition in
-    /// `0..parts_len` absent from `cuts` is empty. Equivalent to
-    /// [`DataExchange::write_partitions`] with the reconstructed dense
-    /// vector — same bytes on the wire, same virtual time — but a
-    /// backend that stores the concatenation anyway (the coalesced
-    /// object-store layout) does O(cuts) host work instead of
-    /// O(parts_len). Returns the number of payload bytes written.
-    ///
-    /// The default implementation reconstructs the dense partition vector
-    /// (cheap zero-copy [`Bytes::slice`]s of `run`, empty slots for
-    /// absent cuts) and delegates to
-    /// [`write_partitions`](DataExchange::write_partitions),
-    /// so every backend's store traffic — and therefore its virtual
-    /// time — is exactly what the dense write produced. Backends whose
-    /// wire format already concatenates the partitions override it to
-    /// skip the dense vector entirely.
+    /// says partition `part` is `run[offset..offset + len]`, the cuts
+    /// are part-ascending and tile the run, and every partition in
+    /// `0..parts_len` absent from `cuts` is empty. A backend that stores
+    /// the concatenation anyway (the coalesced object-store layout) does
+    /// O(cuts) host work; the others store all `parts_len` partitions,
+    /// empty ones included. Returns the number of payload bytes written.
     fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -271,98 +249,69 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         run: Bytes,
         cuts: Vec<(u32, u64, u64)>,
         parts_len: usize,
-    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
-        Box::pin(async move {
-            let mut parts = vec![Bytes::new(); parts_len];
-            for &(part, off, len) in &cuts {
-                parts[part as usize] = run.slice(off as usize..(off + len) as usize);
-            }
-            self.write_partitions(ctx, env, map, parts).await
-        })
-    }
-
-    /// Fetches the partition mapper `map` wrote for reducer `part`.
-    fn read_partition<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>>;
-
-    /// Fetches a batch of partitions, `reqs[i] = (map, part)`, returning
-    /// the payloads in request order.
-    ///
-    /// Backends keep up to `env.io_window` requests in flight
-    /// concurrently (sharing the caller's NIC links); with
-    /// `env.io_window <= 1` every implementation must fall back to the
-    /// exact sequential behavior.
-    ///
-    /// The default implementation is a sequential loop; backends override
-    /// it to keep up to `env.io_window` requests in flight concurrently.
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
-    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
-        Box::pin(async move {
-            let mut out = Vec::with_capacity(reqs.len());
-            for &(map, part) in reqs {
-                out.push(self.read_partition(ctx, env, map, part).await?);
-            }
-            Ok(out)
-        })
-    }
+    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>>;
 
     /// A reducer's whole-column gather: the non-empty runs of partition
     /// `part` from mappers `0..maps`, in ascending mapper order.
     ///
-    /// Virtual time is identical to reading the column with
-    /// [`DataExchange::read_partitions`] — the same store requests go
-    /// out, over the same windowed schedule — but the return value skips
-    /// zero-length runs, so a W-wide gather whose column holds k
-    /// non-empty partitions costs O(k) host work on backends that
-    /// override it, not O(W). Dropping empty runs is merge-neutral: a
-    /// k-way merge's output never depends on the empty runs' positions.
-    ///
-    /// The default implementation is the dense batch read over
-    /// `(m, part)` for every `m < maps` with the zero-length runs dropped
-    /// afterwards; backends whose bookkeeping knows which partitions are
-    /// empty override it to do work proportional to the *non-empty* runs
-    /// only.
+    /// Requests go out through the shared funnel, up to `env.io_window`
+    /// in flight. Dropping empty runs is merge-neutral: a k-way merge's
+    /// output never depends on the empty runs' positions.
     ///
     /// # Errors
-    /// [`ExchangeError::MissingPartition`] if any mapper in `0..maps`
-    /// never wrote partition `part`.
+    /// The backend's own error if any mapper in `0..maps` never wrote
+    /// partition `part`: [`ExchangeError::MissingPartition`] from the
+    /// coalesced and relay backends, a store `NoSuchKey` from the
+    /// scatter layout, and [`ExchangeError::PeerTimeout`] from the
+    /// direct backend once the rendezvous window runs out.
     fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
         maps: usize,
         part: usize,
-    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
-        Box::pin(async move {
-            let reqs: Vec<(usize, usize)> = (0..maps).map(|m| (m, part)).collect();
-            let runs = self.read_partitions(ctx, env, &reqs).await?;
-            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
-        })
-    }
-
-    /// Lists the exchange's current intermediate objects (diagnostic).
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>>;
+    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>>;
 
     /// Driver-side teardown after the reduce phase: releases backing
-    /// resources (the VM-relay backend stops its billing clock here).
+    /// resources (the relay backends stop their billing clocks here).
     fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
+}
+
+/// The dense partition vector a [`DataExchange::write_run`] run stands
+/// for: zero-copy slices of `run` at the cuts, empty everywhere else.
+pub(crate) fn dense_parts(run: &Bytes, cuts: &[(u32, u64, u64)], parts_len: usize) -> Vec<Bytes> {
+    let mut parts = vec![Bytes::new(); parts_len];
+    for &(part, off, len) in cuts {
+        parts[part as usize] = run.slice(off as usize..(off + len) as usize);
+    }
+    parts
+}
+
+/// Test helper: writes the dense partition vector `parts` through
+/// [`DataExchange::write_run`], building the `(run, cuts)` pair the
+/// shuffle's kernel would hand over.
+#[cfg(test)]
+pub(crate) async fn write_dense(
+    ex: &dyn DataExchange,
+    ctx: &mut Ctx,
+    env: &ExchangeEnv,
+    map: usize,
+    parts: Vec<Bytes>,
+) -> Result<u64, ExchangeError> {
+    let mut run = Vec::new();
+    let mut cuts = Vec::new();
+    for (j, data) in parts.iter().enumerate() {
+        if !data.is_empty() {
+            cuts.push((j as u32, run.len() as u64, data.len() as u64));
+            run.extend_from_slice(data);
+        }
+    }
+    ex.write_run(ctx, env, map, Bytes::from(run), cuts, parts.len())
+        .await
 }
 
 #[cfg(test)]

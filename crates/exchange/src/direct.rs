@@ -10,9 +10,9 @@ use faaspipe_store::FailurePolicy;
 use faaspipe_trace::{Category, SpanId, TraceSink};
 use parking_lot::Mutex;
 
-use crate::api::{DataExchange, ExchangeEnv};
+use crate::api::{dense_parts, DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
-use crate::retry::with_retry;
+use crate::retry::run_requests;
 
 /// Tuning of the [`DirectExchange`].
 #[derive(Debug, Clone)]
@@ -88,8 +88,8 @@ pub struct DirectExchange {
 }
 
 /// The shareable innards of [`DirectExchange`]: cloning is cheap and
-/// shares the rendezvous table, so the windowed read path can hand a
-/// clone to each fan-out child.
+/// shares the rendezvous table, so the read path can hand a clone to
+/// each connection.
 #[derive(Clone)]
 struct DirectCore {
     cfg: std::sync::Arc<DirectConfig>,
@@ -239,7 +239,6 @@ impl DataExchange for DirectExchange {
         &'a self,
         _ctx: &'a mut Ctx,
         _maps: usize,
-        _parts: usize,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
         let mut state = self.core.state.lock();
         state.parts.clear();
@@ -247,12 +246,14 @@ impl DataExchange for DirectExchange {
         Box::pin(async { Ok(()) })
     }
 
-    fn write_partitions<'a>(
+    fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
         map: usize,
-        parts: Vec<Bytes>,
+        run: Bytes,
+        cuts: Vec<(u32, u64, u64)>,
+        parts_len: usize,
     ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
         Box::pin(async move {
             // Registration is one cheap rendezvous call: the data itself
@@ -260,14 +261,14 @@ impl DataExchange for DirectExchange {
             // there is nothing to parallelize — `io_window` is moot).
             let span = self
                 .core
-                .span_begin(ctx, "REGISTER", &env.tag, map, parts.len());
+                .span_begin(ctx, "REGISTER", &env.tag, map, parts_len);
             ctx.sleep(self.core.cfg.handshake).await;
             let sender_nic = env.host_links.first().copied();
             let now = ctx.now();
             let mut written = 0u64;
             {
                 let mut state = self.core.state.lock();
-                for (j, data) in parts.into_iter().enumerate() {
+                for (j, data) in dense_parts(&run, &cuts, parts_len).into_iter().enumerate() {
                     written += data.len() as u64;
                     let wire = self.core.scaled(data.len());
                     // Idempotent overwrite for re-invoked mappers.
@@ -296,79 +297,27 @@ impl DataExchange for DirectExchange {
         })
     }
 
-    fn read_partition<'a>(
+    fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
-        map: usize,
+        maps: usize,
         part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
-        Box::pin(async move {
-            with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                self.core.stream_part(c, env, map, part).await
-            })
-            .await
-        })
-    }
-
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
     ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
         Box::pin(async move {
-            if env.io_window <= 1 || reqs.len() <= 1 {
-                let mut out = Vec::with_capacity(reqs.len());
-                for &(map, part) in reqs {
-                    out.push(self.read_partition(ctx, env, map, part).await?);
+            // Every partition is registered, empty ones included, so the
+            // column costs `maps` rendezvous streams.
+            let mappers: Vec<usize> = (0..maps).collect();
+            let core = self.core.clone();
+            let connect = async move |_: &Ctx, _: &ExchangeEnv| {
+                let core = core.clone();
+                async move |c: &mut Ctx, env: &ExchangeEnv, &map: &usize| {
+                    core.stream_part(c, env, map, part).await
                 }
-                return Ok(out);
-            }
-            let trace = self.core.trace.clone();
-            let parent = trace.current(ctx.pid());
-            let jobs: Vec<_> = reqs
-                .iter()
-                .map(|&(map, part)| {
-                    let core = self.core.clone();
-                    let env = env.clone();
-                    let trace = trace.clone();
-                    async move |cctx: &mut Ctx| {
-                        trace.enter(cctx.pid(), parent);
-                        let res: Result<Bytes, ExchangeError> =
-                            with_retry(cctx, env.retries, async |c: &mut Ctx| {
-                                core.stream_part(c, &env, map, part).await
-                            })
-                            .await;
-                        trace.exit(cctx.pid());
-                        res
-                    }
-                })
-                .collect();
-            let name = format!("{}-get", env.tag);
-            ctx.fan_out(&name, env.io_window, jobs)
-                .await
-                .unwrap_or_else(|e| panic!("windowed direct read crashed: {}", e))
-                .into_iter()
-                .collect()
-        })
-    }
-
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        _env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
-        Box::pin(async move {
-            ctx.sleep(self.core.cfg.handshake).await;
-            Ok(self
-                .core
-                .state
-                .lock()
-                .parts
-                .keys()
-                .map(|(m, j)| format!("direct/{:05}/{:05}", m, j))
-                .collect())
+            };
+            let runs =
+                run_requests(ctx, env, &self.core.trace, "get", maps, mappers, connect).await?;
+            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }
 
@@ -392,6 +341,7 @@ impl DataExchange for DirectExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::write_dense;
     use faaspipe_des::Sim;
     use std::sync::Arc;
 
@@ -402,7 +352,7 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 2).await.expect("prepare");
             let before = ctx.now();
             for m in 0..2usize {
                 let parts = vec![
@@ -410,7 +360,7 @@ mod tests {
                     Bytes::from(format!("m{}p1", m)),
                 ];
                 assert_eq!(
-                    ex2.write_partitions(&mut ctx, &env, m, parts)
+                    write_dense(&*ex2, &mut ctx, &env, m, parts)
                         .await
                         .expect("write"),
                     8
@@ -419,22 +369,20 @@ mod tests {
             // Writes cost only the handshake, not a transfer.
             let write_cost = ctx.now().saturating_duration_since(before);
             assert!(write_cost <= SimDuration::from_millis(2));
-            for m in 0..2usize {
-                for j in 0..2usize {
-                    let data = ex2
-                        .read_partition(&mut ctx, &env, m, j)
-                        .await
-                        .expect("read");
-                    assert_eq!(data, Bytes::from(format!("m{}p{}", m, j)));
-                }
-            }
             assert_eq!(
-                ex2.list(&mut ctx, &env).await.expect("list").len(),
+                ex2.core.state.lock().parts.len(),
                 4,
                 "all four partitions registered"
             );
+            for j in 0..2usize {
+                let column = ex2.read_gather(&mut ctx, &env, 2, j).await.expect("read");
+                let want: Vec<Bytes> = (0..2)
+                    .map(|m| Bytes::from(format!("m{}p{}", m, j)))
+                    .collect();
+                assert_eq!(column, want);
+            }
             ex2.cleanup(&mut ctx, &env).await.expect("cleanup");
-            assert!(ex2.list(&mut ctx, &env).await.expect("list").is_empty());
+            assert!(ex2.core.state.lock().parts.is_empty());
         });
         sim.run().expect("sim ok");
     }
@@ -450,13 +398,13 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(&mut ctx, 1, 1).await.expect("prepare");
-            ex2.write_partitions(&mut ctx, &env, 0, vec![Bytes::from("x")])
+            ex2.prepare(&mut ctx, 1).await.expect("prepare");
+            write_dense(&*ex2, &mut ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect("write");
             ctx.sleep(SimDuration::from_secs(10)).await;
             let err = ex2
-                .read_partition(&mut ctx, &env, 0, 0)
+                .read_gather(&mut ctx, &env, 1, 0)
                 .await
                 .expect_err("evicted");
             assert_eq!(err, ExchangeError::PeerGone { map: 0, part: 0 });
@@ -475,10 +423,10 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 2);
-            ex2.prepare(&mut ctx, 1, 1).await.expect("prepare");
+            ex2.prepare(&mut ctx, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
-                .read_partition(&mut ctx, &env, 0, 0)
+                .read_gather(&mut ctx, &env, 1, 0)
                 .await
                 .expect_err("nobody wrote");
             assert_eq!(err, ExchangeError::PeerTimeout { map: 0, part: 0 });
@@ -497,10 +445,9 @@ mod tests {
         let reader = Arc::clone(&ex);
         sim.spawn("writer", move |mut ctx| async move {
             let env = ExchangeEnv::driver("w", 3);
-            writer.prepare(&mut ctx, 1, 1).await.expect("prepare");
+            writer.prepare(&mut ctx, 1).await.expect("prepare");
             ctx.sleep(SimDuration::from_secs(2)).await;
-            writer
-                .write_partitions(&mut ctx, &env, 0, vec![Bytes::from("late")])
+            write_dense(&*writer, &mut ctx, &env, 0, vec![Bytes::from("late")])
                 .await
                 .expect("write");
         });
@@ -508,11 +455,11 @@ mod tests {
             // Starts before the writer has registered anything.
             ctx.sleep(SimDuration::from_millis(10)).await;
             let env = ExchangeEnv::driver("r", 3);
-            let data = reader
-                .read_partition(&mut ctx, &env, 0, 0)
+            let column = reader
+                .read_gather(&mut ctx, &env, 1, 0)
                 .await
                 .expect("read");
-            assert_eq!(data, Bytes::from("late"));
+            assert_eq!(column, vec![Bytes::from("late")]);
         });
         sim.run().expect("sim ok");
     }
@@ -528,19 +475,19 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 20);
-            ex2.prepare(&mut ctx, 4, 4).await.expect("prepare");
+            ex2.prepare(&mut ctx, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(&mut ctx, &env, m, parts)
+                write_dense(&*ex2, &mut ctx, &env, m, parts)
                     .await
                     .expect("write");
             }
-            for m in 0..4usize {
-                for j in 0..4usize {
-                    ex2.read_partition(&mut ctx, &env, m, j)
-                        .await
-                        .expect("reads survive 40% injected timeouts");
-                }
+            for j in 0..4usize {
+                let column = ex2
+                    .read_gather(&mut ctx, &env, 4, j)
+                    .await
+                    .expect("reads survive 40% injected timeouts");
+                assert_eq!(column.len(), 4);
             }
         });
         sim.run().expect("sim ok");

@@ -22,24 +22,31 @@
 //!   through the DES fluid-flow network, gated on the sender's container
 //!   still being warm.
 //!
+//! The trait is exactly the four calls the shuffle makes: `prepare`,
+//! `write_run` (a mapper's sorted run plus its partition cuts),
+//! `read_gather` (a reducer's column, empty runs skipped) and `cleanup`.
+//!
 //! All backends charge virtual time for every operation, record
 //! [`faaspipe_trace`] spans on the same `StoreRequest`/`Flow` categories
-//! the store uses (so critical-path attribution keeps working), and route
-//! every fallible request through the shared [`with_retry`] helper with
-//! exponential backoff and deterministic jitter drawn from the DES rng.
+//! the store uses (so critical-path attribution keeps working), and send
+//! every request batch through one crate-internal funnel. The funnel
+//! retries each request with the shared [`with_retry`] helper
+//! (exponential backoff, deterministic jitter drawn from the DES rng).
+//! It runs the batch in sequence on the caller at an I/O window of 1,
+//! and otherwise fans it out to at most `io_window` worker processes.
 
 mod api;
 mod direct;
 mod error;
 mod object_store;
+mod relay;
 mod retry;
 mod sharded;
-mod vm_relay;
 
 pub use api::{DataExchange, ExchangeEnv, ExchangeKind, ExchangeStrategy};
 pub use direct::{DirectConfig, DirectExchange};
 pub use error::{ExchangeError, ExchangeParseError, ExchangeParseIssue, EXCHANGE_KIND_FORMS};
 pub use object_store::ObjectStoreExchange;
+pub use relay::RelayConfig;
 pub use retry::{with_retry, Retryable};
 pub use sharded::{ShardedRelayConfig, ShardedRelayExchange};
-pub use vm_relay::RelayConfig;

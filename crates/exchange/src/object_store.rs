@@ -7,9 +7,9 @@ use faaspipe_des::{Ctx, LocalBoxFuture};
 use faaspipe_store::ObjectStore;
 use parking_lot::Mutex;
 
-use crate::api::{DataExchange, ExchangeEnv, ExchangeStrategy};
+use crate::api::{dense_parts, DataExchange, ExchangeEnv, ExchangeStrategy};
 use crate::error::ExchangeError;
-use crate::retry::with_retry;
+use crate::retry::run_requests;
 
 /// Exchange through the simulated COS, in either the `Scatter` (W²
 /// objects) or `Coalesced` (W objects + byte-range reads) layout.
@@ -119,27 +119,6 @@ impl CoalescedIndex {
             })
             .unwrap_or_default())
     }
-
-    /// `Ok(Some((off, len)))` for a non-empty partition, `Ok(None)` for
-    /// a written-but-empty one, `Err(MissingPartition)` otherwise —
-    /// exactly the semantics the dense table's `get(map).get(part)` had.
-    fn lookup(&self, map: usize, part: usize) -> Result<Option<(u64, u64)>, ExchangeError> {
-        let parts_len = *self
-            .parts_len
-            .get(map)
-            .ok_or(ExchangeError::MissingPartition { map, part })?;
-        if part >= parts_len as usize {
-            return Err(ExchangeError::MissingPartition { map, part });
-        }
-        let table = &self.tables[map];
-        match table.binary_search_by_key(&(part as u32), |&(p, _, _)| p) {
-            Ok(i) => {
-                let (_, off, len) = table[i];
-                Ok(Some((off, len)))
-            }
-            Err(_) => Ok(None),
-        }
-    }
 }
 
 impl std::fmt::Debug for ObjectStoreExchange {
@@ -178,136 +157,48 @@ impl ObjectStoreExchange {
         format!("{}{:05}", self.prefix, map)
     }
 
-    /// Runs one store request per fetch plan in child processes, at most
-    /// `env.io_window` in flight, each on its own store connection (so
-    /// aggregate throughput scales with the window until the caller's
-    /// NIC or the store's aggregate cap saturates). Results come back in
-    /// plan order.
-    ///
-    /// [`Fetch::Empty`] plans never leave the host: they issue no store
-    /// request, touch no simulated resource, and draw no randomness, so
-    /// their jobs are elided outright and their result slots pre-filled.
-    /// The worker count is pinned to the *full* plan count
-    /// ([`Ctx::fan_out_sparse`]), which keeps pid assignment and
-    /// the virtual-time schedule byte-identical to a fan-out that ran
-    /// the empty jobs — without materialising W² closures per stage at
-    /// large W.
-    async fn fetch_windowed(
+    /// Sends `reqs` through the request funnel. A connection is a store
+    /// client over the caller's links; a PUT answers with an empty
+    /// payload.
+    async fn send(
         &self,
         ctx: &mut Ctx,
         env: &ExchangeEnv,
-        plans: Vec<Fetch>,
-    ) -> Result<Vec<Bytes>, ExchangeError> {
-        let trace = self.store.trace_sink();
-        let parent = trace.current(ctx.pid());
-        let total = plans.len();
-        let jobs: Vec<_> = plans
-            .into_iter()
-            .enumerate()
-            .filter(|(_, plan)| !matches!(plan, Fetch::Empty))
-            .map(|(i, plan)| {
-                let store = Arc::clone(&self.store);
-                let bucket = self.bucket.clone();
-                let tag = env.tag.clone();
-                let links = env.host_links.clone();
-                let retries = env.retries;
-                let trace = trace.clone();
-                let job = async move |cctx: &mut Ctx| {
-                    trace.enter(cctx.pid(), parent);
-                    let client = store.connect_via(cctx, tag, &links).await;
-                    let res: Result<Bytes, ExchangeError> = match plan {
-                        Fetch::Empty => Ok(Bytes::new()),
-                        Fetch::Get(key) => with_retry(cctx, retries, async |c: &mut Ctx| {
-                            client.get(c, &bucket, &key).await
-                        })
-                        .await
-                        .map_err(ExchangeError::from),
-                        Fetch::Range(key, off, len) => {
-                            with_retry(cctx, retries, async |c: &mut Ctx| {
-                                client.get_range(c, &bucket, &key, off, len).await
-                            })
-                            .await
-                            .map_err(ExchangeError::from)
-                        }
-                    };
-                    trace.exit(cctx.pid());
-                    res
-                };
-                (i, job)
-            })
-            .collect();
-        let name = format!("{}-get", env.tag);
-        let results = ctx
-            .fan_out_sparse(&name, env.io_window, total, jobs, || Ok(Bytes::new()))
-            .await
-            .unwrap_or_else(|e| panic!("windowed store read crashed: {}", e));
-        results.into_iter().collect()
-    }
-
-    /// [`ObjectStoreExchange::fetch_windowed`] for a pre-filtered plan
-    /// list: every plan is a real request, and the worker count is
-    /// pinned to what a `logical_total`-plan fan-out would spawn, so a
-    /// gather that elided its empty column entries keeps the exact
-    /// virtual-time schedule of the dense one. Returns one payload per
-    /// plan, in plan order.
-    async fn fetch_pinned(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
+        verb: &str,
         logical_total: usize,
-        plans: Vec<Fetch>,
+        reqs: Vec<StoreRequest>,
     ) -> Result<Vec<Bytes>, ExchangeError> {
+        let store = Arc::clone(&self.store);
+        let bucket = self.bucket.clone();
+        let connect = async move |c: &Ctx, env: &ExchangeEnv| {
+            let client = store.connect_via(c, env.tag.clone(), &env.host_links).await;
+            let bucket = bucket.clone();
+            async move |c: &mut Ctx, _: &ExchangeEnv, req: &StoreRequest| {
+                Ok(match req {
+                    StoreRequest::Put(key, data) => {
+                        client.put(c, &bucket, key, data.clone()).await?;
+                        Bytes::new()
+                    }
+                    StoreRequest::Get(key) => client.get(c, &bucket, key).await?,
+                    StoreRequest::Range(key, off, len) => {
+                        client.get_range(c, &bucket, key, *off, *len).await?
+                    }
+                })
+            }
+        };
         let trace = self.store.trace_sink();
-        let parent = trace.current(ctx.pid());
-        let jobs: Vec<_> = plans
-            .into_iter()
-            .map(|plan| {
-                let store = Arc::clone(&self.store);
-                let bucket = self.bucket.clone();
-                let tag = env.tag.clone();
-                let links = env.host_links.clone();
-                let retries = env.retries;
-                let trace = trace.clone();
-                async move |cctx: &mut Ctx| {
-                    trace.enter(cctx.pid(), parent);
-                    let client = store.connect_via(cctx, tag, &links).await;
-                    let res: Result<Bytes, ExchangeError> = match plan {
-                        Fetch::Empty => Ok(Bytes::new()),
-                        Fetch::Get(key) => with_retry(cctx, retries, async |c: &mut Ctx| {
-                            client.get(c, &bucket, &key).await
-                        })
-                        .await
-                        .map_err(ExchangeError::from),
-                        Fetch::Range(key, off, len) => {
-                            with_retry(cctx, retries, async |c: &mut Ctx| {
-                                client.get_range(c, &bucket, &key, off, len).await
-                            })
-                            .await
-                            .map_err(ExchangeError::from)
-                        }
-                    };
-                    trace.exit(cctx.pid());
-                    res
-                }
-            })
-            .collect();
-        let name = format!("{}-get", env.tag);
-        let results = ctx
-            .fan_out_pinned(&name, env.io_window, logical_total, jobs)
-            .await
-            .unwrap_or_else(|e| panic!("windowed store read crashed: {}", e));
-        results.into_iter().collect()
+        run_requests(ctx, env, &trace, verb, logical_total, reqs, connect).await
     }
 }
 
-/// A resolved read plan for one `(map, part)` request.
-enum Fetch {
+/// One store request of the exchange.
+enum StoreRequest {
+    /// Whole-object PUT.
+    Put(String, Bytes),
     /// Whole-object GET (scatter layout).
     Get(String),
     /// Byte-range GET (coalesced layout).
     Range(String, u64, u64),
-    /// Zero-length coalesced partition: no request at all.
-    Empty,
 }
 
 impl DataExchange for ObjectStoreExchange {
@@ -315,99 +206,9 @@ impl DataExchange for ObjectStoreExchange {
         &'a self,
         _ctx: &'a mut Ctx,
         maps: usize,
-        _parts: usize,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
         self.index.lock().reset(maps);
         Box::pin(async { Ok(()) })
-    }
-
-    fn write_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        parts: Vec<Bytes>,
-    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
-        Box::pin(async move {
-            let mut written = 0u64;
-            match self.layout {
-                ExchangeStrategy::Scatter if env.io_window > 1 && parts.len() > 1 => {
-                    written = parts.iter().map(|d| d.len() as u64).sum();
-                    let trace = self.store.trace_sink();
-                    let parent = trace.current(ctx.pid());
-                    let jobs: Vec<_> = parts
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, data)| {
-                            let store = Arc::clone(&self.store);
-                            let bucket = self.bucket.clone();
-                            let key = self.scatter_key(map, j);
-                            let tag = env.tag.clone();
-                            let links = env.host_links.clone();
-                            let retries = env.retries;
-                            let trace = trace.clone();
-                            async move |cctx: &mut Ctx| {
-                                trace.enter(cctx.pid(), parent);
-                                let client = store.connect_via(cctx, tag, &links).await;
-                                let res: Result<(), ExchangeError> =
-                                    with_retry(cctx, retries, async |c: &mut Ctx| {
-                                        client.put(c, &bucket, &key, data.clone()).await
-                                    })
-                                    .await
-                                    .map(|_| ())
-                                    .map_err(ExchangeError::from);
-                                trace.exit(cctx.pid());
-                                res
-                            }
-                        })
-                        .collect();
-                    let name = format!("{}-put", env.tag);
-                    ctx.fan_out(&name, env.io_window, jobs)
-                        .await
-                        .unwrap_or_else(|e| panic!("windowed store write crashed: {}", e))
-                        .into_iter()
-                        .collect::<Result<Vec<()>, ExchangeError>>()?;
-                }
-                ExchangeStrategy::Scatter => {
-                    let client = self
-                        .store
-                        .connect_via(ctx, env.tag.clone(), &env.host_links)
-                        .await;
-                    for (j, data) in parts.into_iter().enumerate() {
-                        written += data.len() as u64;
-                        let key = self.scatter_key(map, j);
-                        with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                            client.put(c, &self.bucket, &key, data.clone()).await
-                        })
-                        .await?;
-                    }
-                }
-                ExchangeStrategy::Coalesced => {
-                    let client = self
-                        .store
-                        .connect_via(ctx, env.tag.clone(), &env.host_links)
-                        .await;
-                    let mut table = Vec::new();
-                    let total: usize = parts.iter().map(Bytes::len).sum();
-                    let mut blob = Vec::with_capacity(total);
-                    for (j, data) in parts.iter().enumerate() {
-                        if !data.is_empty() {
-                            table.push((j as u32, blob.len() as u64, data.len() as u64));
-                        }
-                        blob.extend_from_slice(data);
-                    }
-                    written += blob.len() as u64;
-                    let key = self.coalesced_key(map);
-                    let blob = Bytes::from(blob);
-                    with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                        client.put(c, &self.bucket, &key, blob.clone()).await
-                    })
-                    .await?;
-                    self.index.lock().record(map, parts.len(), table);
-                }
-            }
-            Ok(written)
-        })
     }
 
     fn write_run<'a>(
@@ -420,113 +221,27 @@ impl DataExchange for ObjectStoreExchange {
         parts_len: usize,
     ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
         Box::pin(async move {
-            match self.layout {
-                // The coalesced blob IS the run (partitions concatenated in
-                // part order), so PUT it as-is — identical bytes, key, and
-                // virtual time to the dense write — and file the cut list
-                // straight into the sparse index: O(cuts) host work where
-                // the dense path scanned all `parts_len` slots.
+            let written = run.len() as u64;
+            let puts: Vec<StoreRequest> = match self.layout {
+                // The coalesced blob IS the run (partitions concatenated
+                // in part order): one PUT, and the cut list goes straight
+                // into the sparse index — O(cuts) host work.
                 ExchangeStrategy::Coalesced => {
-                    let client = self
-                        .store
-                        .connect_via(ctx, env.tag.clone(), &env.host_links)
-                        .await;
-                    let written = run.len() as u64;
-                    let key = self.coalesced_key(map);
-                    with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                        client.put(c, &self.bucket, &key, run.clone()).await
-                    })
-                    .await?;
-                    self.index.lock().record(map, parts_len, cuts);
-                    Ok(written)
+                    vec![StoreRequest::Put(self.coalesced_key(map), run)]
                 }
-                // Scatter stores one object per partition either way;
-                // reconstruct the dense vector (zero-copy slices) and take
-                // the ordinary write path.
-                ExchangeStrategy::Scatter => {
-                    let mut parts = vec![Bytes::new(); parts_len];
-                    for &(part, off, len) in &cuts {
-                        parts[part as usize] = run.slice(off as usize..(off + len) as usize);
-                    }
-                    self.write_partitions(ctx, env, map, parts).await
-                }
-            }
-        })
-    }
-
-    fn read_partition<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
-        Box::pin(async move {
-            let client = self
-                .store
-                .connect_via(ctx, env.tag.clone(), &env.host_links)
-                .await;
-            match self.layout {
-                ExchangeStrategy::Scatter => {
-                    let key = self.scatter_key(map, part);
-                    Ok(with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                        client.get(c, &self.bucket, &key).await
-                    })
-                    .await?)
-                }
-                ExchangeStrategy::Coalesced => {
-                    let Some((off, len)) = self.index.lock().lookup(map, part)? else {
-                        // Nothing to fetch; skip the request entirely (the
-                        // coalesced layout's request saving in action).
-                        return Ok(Bytes::new());
-                    };
-                    let key = self.coalesced_key(map);
-                    Ok(with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                        client.get_range(c, &self.bucket, &key, off, len).await
-                    })
-                    .await?)
-                }
-            }
-        })
-    }
-
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
-    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
-        Box::pin(async move {
-            if env.io_window <= 1 || reqs.len() <= 1 {
-                let mut out = Vec::with_capacity(reqs.len());
-                for &(map, part) in reqs {
-                    out.push(self.read_partition(ctx, env, map, part).await?);
-                }
-                return Ok(out);
-            }
-            // Resolve every request to a fetch plan up front (the coalesced
-            // offset lookups can fail, and zero-length partitions must skip
-            // the request even on the windowed path). One lock hold covers
-            // the whole batch — the old per-request locking was W lock
-            // round-trips per reducer.
-            let plans = match self.layout {
-                ExchangeStrategy::Scatter => reqs
-                    .iter()
-                    .map(|&(map, part)| Fetch::Get(self.scatter_key(map, part)))
+                // Scatter stores one object per partition, empty ones
+                // included.
+                ExchangeStrategy::Scatter => dense_parts(&run, &cuts, parts_len)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, data)| StoreRequest::Put(self.scatter_key(map, j), data))
                     .collect(),
-                ExchangeStrategy::Coalesced => {
-                    let index = self.index.lock();
-                    reqs.iter()
-                        .map(|&(map, part)| {
-                            Ok(match index.lookup(map, part)? {
-                                Some((off, len)) => Fetch::Range(self.coalesced_key(map), off, len),
-                                None => Fetch::Empty,
-                            })
-                        })
-                        .collect::<Result<Vec<Fetch>, ExchangeError>>()?
-                }
             };
-            self.fetch_windowed(ctx, env, plans).await
+            self.send(ctx, env, "put", puts.len(), puts).await?;
+            if self.layout == ExchangeStrategy::Coalesced {
+                self.index.lock().record(map, parts_len, cuts);
+            }
+            Ok(written)
         })
     }
 
@@ -538,62 +253,28 @@ impl DataExchange for ObjectStoreExchange {
         part: usize,
     ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
         Box::pin(async move {
-            if matches!(self.layout, ExchangeStrategy::Scatter) {
+            let fetches: Vec<StoreRequest> = match self.layout {
                 // Every scatter partition is a real object — empty ones
-                // included — so the dense column read (and its W real
-                // GETs) is the correct cost model.
-                let reqs: Vec<(usize, usize)> = (0..maps).map(|m| (m, part)).collect();
-                let runs = self.read_partitions(ctx, env, &reqs).await?;
-                return Ok(runs.into_iter().filter(|r| !r.is_empty()).collect());
-            }
-            // Coalesced: resolve the column straight from the by-part
-            // index — one lock, O(non-empty) — and only then touch the
-            // simulation.
-            let entries = self.index.lock().gather(maps, part)?;
-            if env.io_window <= 1 || maps <= 1 {
-                // Sequential data plane: one request at a time on the
-                // caller's own process, exactly as the dense column loop
-                // behaved for its non-empty entries (one flow in flight,
-                // so sharing a connection is rate-identical to the dense
-                // loop's connection-per-request).
-                let client = self
-                    .store
-                    .connect_via(ctx, env.tag.clone(), &env.host_links)
-                    .await;
-                let mut out = Vec::with_capacity(entries.len());
-                for &(map, off, len) in &entries {
-                    let key = self.coalesced_key(map as usize);
-                    let data = with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                        client.get_range(c, &self.bucket, &key, off, len).await
+                // included — so the column costs `maps` real GETs.
+                ExchangeStrategy::Scatter => (0..maps)
+                    .map(|m| StoreRequest::Get(self.scatter_key(m, part)))
+                    .collect(),
+                // Coalesced: resolve the column straight from the by-part
+                // index — one lock, O(non-empty) — before touching the
+                // simulation. Empty partitions issue no request at all;
+                // the funnel still sizes its workers for all `maps`.
+                ExchangeStrategy::Coalesced => self
+                    .index
+                    .lock()
+                    .gather(maps, part)?
+                    .into_iter()
+                    .map(|(m, off, len)| {
+                        StoreRequest::Range(self.coalesced_key(m as usize), off, len)
                     })
-                    .await?;
-                    out.push(data);
-                }
-                return Ok(out);
-            }
-            let plans: Vec<Fetch> = entries
-                .iter()
-                .map(|&(map, off, len)| Fetch::Range(self.coalesced_key(map as usize), off, len))
-                .collect();
-            self.fetch_pinned(ctx, env, maps, plans).await
-        })
-    }
-
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
-        Box::pin(async move {
-            let client = self
-                .store
-                .connect_via(ctx, env.tag.clone(), &env.host_links)
-                .await;
-            let objects = with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                client.list(c, &self.bucket, &self.prefix).await
-            })
-            .await?;
-            Ok(objects.into_iter().map(|o| o.key).collect())
+                    .collect(),
+            };
+            let runs = self.send(ctx, env, "get", maps, fetches).await?;
+            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }
 
@@ -610,8 +291,13 @@ impl DataExchange for ObjectStoreExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faaspipe_des::Sim;
-    use faaspipe_store::StoreConfig;
+    use crate::api::write_dense;
+    use crate::{
+        DirectConfig, DirectExchange, ExchangeKind, ShardedRelayConfig, ShardedRelayExchange,
+    };
+    use faaspipe_des::{Sim, SimDuration};
+    use faaspipe_store::{StoreConfig, StoreError};
+    use faaspipe_vm::VmFleet;
 
     fn roundtrip(layout: ExchangeStrategy) -> (Arc<ObjectStore>, Vec<String>) {
         let mut sim = Sim::new();
@@ -626,26 +312,23 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 2).await.expect("prepare");
             for m in 0..2usize {
                 let parts = vec![
                     Bytes::from(format!("m{}p0", m)),
                     Bytes::from(format!("m{}p1", m)),
                 ];
-                let written = ex2
-                    .write_partitions(&mut ctx, &env, m, parts)
+                let written = write_dense(&*ex2, &mut ctx, &env, m, parts)
                     .await
                     .expect("write");
                 assert_eq!(written, 8);
             }
-            for m in 0..2usize {
-                for j in 0..2usize {
-                    let data = ex2
-                        .read_partition(&mut ctx, &env, m, j)
-                        .await
-                        .expect("read");
-                    assert_eq!(data, Bytes::from(format!("m{}p{}", m, j)));
-                }
+            for j in 0..2usize {
+                let column = ex2.read_gather(&mut ctx, &env, 2, j).await.expect("read");
+                let want: Vec<Bytes> = (0..2)
+                    .map(|m| Bytes::from(format!("m{}p{}", m, j)))
+                    .collect();
+                assert_eq!(column, want);
             }
             ex2.cleanup(&mut ctx, &env).await.expect("cleanup");
         });
@@ -690,182 +373,115 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(&mut ctx, 1, 2).await.expect("prepare");
-            ex2.write_partitions(&mut ctx, &env, 0, vec![Bytes::from("xy"), Bytes::new()])
-                .await
-                .expect("write");
+            ex2.prepare(&mut ctx, 1).await.expect("prepare");
+            write_dense(
+                &*ex2,
+                &mut ctx,
+                &env,
+                0,
+                vec![Bytes::from("xy"), Bytes::new()],
+            )
+            .await
+            .expect("write");
             let before = store.metrics().total().class_b;
-            let data = ex2
-                .read_partition(&mut ctx, &env, 0, 1)
+            let column = ex2
+                .read_gather(&mut ctx, &env, 1, 1)
                 .await
                 .expect("read empty");
-            assert!(data.is_empty());
+            assert!(column.is_empty());
             assert_eq!(store.metrics().total().class_b, before, "no GET issued");
         });
         sim.run().expect("sim ok");
     }
 
-    #[test]
-    fn unwritten_coalesced_partition_is_missing() {
-        let mut sim = Sim::new();
-        let store = ObjectStore::install(&mut sim, StoreConfig::default());
-        store.create_bucket("data").expect("bucket");
-        let ex = ObjectStoreExchange::new(
-            Arc::clone(&store),
-            "data",
-            "part/",
-            ExchangeStrategy::Coalesced,
-        );
-        sim.spawn("driver", move |mut ctx| async move {
-            let env = ExchangeEnv::driver("test", 3);
-            ex.prepare(&mut ctx, 1, 1).await.expect("prepare");
-            let err = ex
-                .read_partition(&mut ctx, &env, 0, 0)
-                .await
-                .expect_err("missing");
-            assert_eq!(err, ExchangeError::MissingPartition { map: 0, part: 0 });
-        });
-        sim.run().expect("sim ok");
-    }
-
-    /// `write_run` must be observationally identical to
-    /// `write_partitions` with the reconstructed dense vector, on both
-    /// layouts: same stored bytes, same request count, same reads.
-    #[test]
-    fn write_run_matches_write_partitions_on_both_layouts() {
-        for layout in [ExchangeStrategy::Scatter, ExchangeStrategy::Coalesced] {
-            let mut sim = Sim::new();
-            let store = ObjectStore::install(&mut sim, StoreConfig::default());
-            store.create_bucket("data").expect("bucket");
-            let dense = Arc::new(ObjectStoreExchange::new(
-                Arc::clone(&store),
-                "data",
-                "dense/",
-                layout,
-            ));
-            let sparse = Arc::new(ObjectStoreExchange::new(
-                Arc::clone(&store),
-                "data",
-                "sparse/",
-                layout,
-            ));
-            let (d2, s2) = (Arc::clone(&dense), Arc::clone(&sparse));
-            sim.spawn("driver", move |mut ctx| async move {
-                let env = ExchangeEnv::driver("test", 3);
-                d2.prepare(&mut ctx, 1, 4).await.expect("prepare");
-                s2.prepare(&mut ctx, 1, 4).await.expect("prepare");
-                // Partitions 1 and 3 empty — the sparse-cut case.
-                let parts = vec![
-                    Bytes::from("aa"),
-                    Bytes::new(),
-                    Bytes::from("cccc"),
-                    Bytes::new(),
-                ];
-                let w_dense = d2
-                    .write_partitions(&mut ctx, &env, 0, parts.clone())
-                    .await
-                    .expect("dense write");
-                let run = Bytes::from("aacccc");
-                let cuts = vec![(0u32, 0u64, 2u64), (2, 2, 4)];
-                let w_sparse = s2
-                    .write_run(&mut ctx, &env, 0, run, cuts, 4)
-                    .await
-                    .expect("run write");
-                assert_eq!(w_dense, w_sparse);
-                for (j, want) in parts.iter().enumerate() {
-                    let a = d2
-                        .read_partition(&mut ctx, &env, 0, j)
-                        .await
-                        .expect("dense read");
-                    let b = s2
-                        .read_partition(&mut ctx, &env, 0, j)
-                        .await
-                        .expect("sparse read");
-                    assert_eq!(a, b, "layout {:?} part {}", layout, j);
-                    assert_eq!(&a, want);
-                }
-            });
-            sim.run().expect("sim ok");
-            // Identical stored objects, key-for-key (modulo the prefix).
-            let dense_keys = store.keys_untimed("data", "dense/");
-            let sparse_keys = store.keys_untimed("data", "sparse/");
-            assert_eq!(dense_keys.len(), sparse_keys.len());
-        }
-    }
-
     /// A reducer's gather returns only the non-empty runs of its
-    /// column, map-ascending, without issuing requests for the empty
-    /// ones — and still fails loudly on a truly unwritten mapper.
+    /// column, map-ascending, on every backend and both sides of the
+    /// funnel's sequential/windowed split — and a never-written mapper
+    /// fails with that backend's own error.
     #[test]
     fn read_gather_skips_empty_runs_and_flags_missing_mappers() {
-        let mut sim = Sim::new();
-        let store = ObjectStore::install(&mut sim, StoreConfig::default());
-        store.create_bucket("data").expect("bucket");
-        let ex = Arc::new(ObjectStoreExchange::new(
-            Arc::clone(&store),
-            "data",
-            "part/",
-            ExchangeStrategy::Coalesced,
-        ));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(&mut ctx, 3, 2).await.expect("prepare");
-            ex2.write_partitions(&mut ctx, &env, 0, vec![Bytes::from("a0"), Bytes::new()])
-                .await
-                .expect("write");
-            ex2.write_partitions(&mut ctx, &env, 1, vec![Bytes::new(), Bytes::from("b1")])
-                .await
-                .expect("write");
-            ex2.write_partitions(
-                &mut ctx,
-                &env,
-                2,
-                vec![Bytes::from("c0"), Bytes::from("c1")],
-            )
-            .await
-            .expect("write");
-            let col0 = ex2
-                .read_gather(&mut ctx, &env, 3, 0)
-                .await
-                .expect("gather 0");
-            assert_eq!(col0, vec![Bytes::from("a0"), Bytes::from("c0")]);
-            let col1 = ex2
-                .read_gather(&mut ctx, &env, 3, 1)
-                .await
-                .expect("gather 1");
-            assert_eq!(col1, vec![Bytes::from("b1"), Bytes::from("c1")]);
-            // Asking for more mappers than ever wrote is a loud error,
-            // exactly like the dense batch read.
-            let err = ex2
-                .read_gather(&mut ctx, &env, 4, 0)
-                .await
-                .expect_err("missing mapper");
-            assert_eq!(err, ExchangeError::MissingPartition { map: 3, part: 0 });
-        });
-        sim.run().expect("sim ok");
-    }
-
-    #[test]
-    fn list_names_the_intermediates() {
-        let mut sim = Sim::new();
-        let store = ObjectStore::install(&mut sim, StoreConfig::default());
-        store.create_bucket("data").expect("bucket");
-        let ex = ObjectStoreExchange::new(
-            Arc::clone(&store),
-            "data",
-            "part/",
-            ExchangeStrategy::Scatter,
-        );
-        sim.spawn("driver", move |mut ctx| async move {
-            let env = ExchangeEnv::driver("test", 3);
-            ex.prepare(&mut ctx, 1, 1).await.expect("prepare");
-            ex.write_partitions(&mut ctx, &env, 0, vec![Bytes::from("a")])
-                .await
-                .expect("write");
-            let keys = ex.list(&mut ctx, &env).await.expect("list");
-            assert_eq!(keys, vec!["part/00000/00000"]);
-        });
-        sim.run().expect("sim ok");
+        let kinds = [
+            ExchangeKind::Scatter,
+            ExchangeKind::Coalesced,
+            ExchangeKind::VmRelay,
+            ExchangeKind::ShardedRelay {
+                shards: 3,
+                prewarm: false,
+            },
+            ExchangeKind::Direct,
+        ];
+        for kind in kinds {
+            for io_window in [1, 4] {
+                let mut sim = Sim::new();
+                let ex: Arc<dyn DataExchange> = if let Some((shards, prewarm)) = kind.relay_fleet()
+                {
+                    Arc::new(ShardedRelayExchange::new(
+                        VmFleet::new(),
+                        ShardedRelayConfig {
+                            shards,
+                            prewarm,
+                            ..ShardedRelayConfig::default()
+                        },
+                    ))
+                } else if kind == ExchangeKind::Direct {
+                    Arc::new(DirectExchange::new(DirectConfig {
+                        rendezvous_timeout: SimDuration::from_secs(1),
+                        ..DirectConfig::default()
+                    }))
+                } else {
+                    let store = ObjectStore::install(&mut sim, StoreConfig::default());
+                    store.create_bucket("data").expect("bucket");
+                    Arc::new(ObjectStoreExchange::new(
+                        store,
+                        "data",
+                        "part/",
+                        kind.layout(),
+                    ))
+                };
+                let missing = match kind {
+                    ExchangeKind::Scatter => ExchangeError::Store(StoreError::NoSuchKey {
+                        bucket: "data".into(),
+                        key: "part/00003/00000".into(),
+                    }),
+                    ExchangeKind::Direct => ExchangeError::PeerTimeout { map: 3, part: 0 },
+                    _ => ExchangeError::MissingPartition { map: 3, part: 0 },
+                };
+                sim.spawn("driver", move |mut ctx| async move {
+                    let env = ExchangeEnv {
+                        io_window,
+                        ..ExchangeEnv::driver("test", 3)
+                    };
+                    let case = format!("{} at io_window {}", kind, io_window);
+                    ex.prepare(&mut ctx, 3).await.expect("prepare");
+                    let columns = [
+                        vec![Bytes::from("a0"), Bytes::new()],
+                        vec![Bytes::new(), Bytes::from("b1")],
+                        vec![Bytes::from("c0"), Bytes::from("c1")],
+                    ];
+                    for (m, parts) in columns.into_iter().enumerate() {
+                        write_dense(&*ex, &mut ctx, &env, m, parts)
+                            .await
+                            .expect("write");
+                    }
+                    let col0 = ex
+                        .read_gather(&mut ctx, &env, 3, 0)
+                        .await
+                        .expect("gather 0");
+                    assert_eq!(col0, vec![Bytes::from("a0"), Bytes::from("c0")], "{}", case);
+                    let col1 = ex
+                        .read_gather(&mut ctx, &env, 3, 1)
+                        .await
+                        .expect("gather 1");
+                    assert_eq!(col1, vec![Bytes::from("b1"), Bytes::from("c1")], "{}", case);
+                    let err = ex
+                        .read_gather(&mut ctx, &env, 4, 0)
+                        .await
+                        .expect_err("missing mapper");
+                    assert_eq!(err, missing, "{}", case);
+                    ex.cleanup(&mut ctx, &env).await.expect("cleanup");
+                });
+                sim.run().expect("sim ok");
+            }
+        }
     }
 }

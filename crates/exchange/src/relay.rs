@@ -19,7 +19,6 @@ use parking_lot::Mutex;
 
 use crate::api::ExchangeEnv;
 use crate::error::ExchangeError;
-use crate::retry::with_retry;
 
 /// Tuning of one relay VM: every shard of a
 /// [`ShardedRelayExchange`](crate::ShardedRelayExchange) gets its own VM
@@ -96,10 +95,6 @@ struct RelayState {
 /// The relay exchange routes partitions across one or many shards. All
 /// virtual-time charging (provisioning, request latency, NIC transfers,
 /// disk spill) happens here.
-///
-/// Cloning a shard is cheap and shares the underlying VM/object table —
-/// the windowed read/write paths clone it into fan-out children.
-#[derive(Clone)]
 pub(crate) struct RelayShard {
     fleet: VmFleet,
     cfg: Arc<RelayConfig>,
@@ -278,7 +273,8 @@ impl RelayShard {
         ctx: &Ctx,
         op: &'static str,
         tag: &str,
-        key: Option<(usize, usize)>,
+        map: usize,
+        part: usize,
     ) -> SpanId {
         if !self.trace.is_enabled() {
             return SpanId::NONE;
@@ -287,13 +283,11 @@ impl RelayShard {
         let span =
             self.trace
                 .span_start(Category::StoreRequest, op, "relay", tag, parent, ctx.now());
-        if let Some((map, part)) = key {
-            self.trace.attr(
-                span,
-                "key",
-                format!("{}/{:05}/{:05}", self.label, map, part),
-            );
-        }
+        self.trace.attr(
+            span,
+            "key",
+            format!("{}/{:05}/{:05}", self.label, map, part),
+        );
         span
     }
 
@@ -338,7 +332,7 @@ impl RelayShard {
         part: usize,
         data: &Bytes,
     ) -> Result<(), ExchangeError> {
-        let span = self.span_begin(ctx, "PUT", &env.tag, Some((map, part)));
+        let span = self.span_begin(ctx, "PUT", &env.tag, map, part);
         let nic = match self.request_overhead(ctx, "PUT").await {
             Ok(nic) => nic,
             Err(e) => {
@@ -395,7 +389,7 @@ impl RelayShard {
         map: usize,
         part: usize,
     ) -> Result<Bytes, ExchangeError> {
-        let span = self.span_begin(ctx, "GET", &env.tag, Some((map, part)));
+        let span = self.span_begin(ctx, "GET", &env.tag, map, part);
         let nic = match self.request_overhead(ctx, "GET").await {
             Ok(nic) => nic,
             Err(e) => {
@@ -422,31 +416,6 @@ impl RelayShard {
         self.transfer(ctx, env, nic, wire, span).await;
         self.span_end(ctx, span, wire, false);
         Ok(data)
-    }
-
-    /// Lists this shard's objects as one metered relay request: it
-    /// requires a live VM, bumps the request counter (so it can trip
-    /// `crash_after_requests`), and is subject to failure injection —
-    /// exactly like PUT/GET.
-    pub(crate) async fn list_keys(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-    ) -> Result<Vec<String>, ExchangeError> {
-        let span = self.span_begin(ctx, "LIST", &env.tag, None);
-        if let Err(e) = self.request_overhead(ctx, "LIST").await {
-            self.span_end(ctx, span, 0, true);
-            return Err(e);
-        }
-        let keys: Vec<String> = self
-            .state
-            .lock()
-            .objects
-            .keys()
-            .map(|(m, j)| format!("{}/{:05}/{:05}", self.label, m, j))
-            .collect();
-        self.span_end(ctx, span, 0, false);
-        Ok(keys)
     }
 
     /// Waits out any in-flight boot (releasing mid-boot would leak the
@@ -489,81 +458,4 @@ impl RelayShard {
             .get(&(map, part))
             .map(|p| p.spilled)
     }
-}
-
-/// Windowed relay PUTs: runs one retried [`RelayShard::put_part`] per
-/// item in child processes, at most `env.io_window` in flight. Items
-/// carry their target shard so the sharded backend can mix shards in
-/// one batch. Request spans parent to the caller's current span.
-pub(crate) async fn relay_puts_windowed(
-    ctx: &mut Ctx,
-    env: &ExchangeEnv,
-    items: Vec<(RelayShard, usize, usize, Bytes)>,
-) -> Result<(), ExchangeError> {
-    let Some((first, ..)) = items.first() else {
-        return Ok(());
-    };
-    let trace = first.trace.clone();
-    let parent = trace.current(ctx.pid());
-    let name = format!("{}-put", env.tag);
-    let jobs: Vec<_> = items
-        .into_iter()
-        .map(|(shard, map, part, data)| {
-            let env = env.clone();
-            let trace = trace.clone();
-            async move |cctx: &mut Ctx| {
-                trace.enter(cctx.pid(), parent);
-                let res: Result<(), ExchangeError> =
-                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
-                        shard.put_part(c, &env, map, part, &data).await
-                    })
-                    .await;
-                trace.exit(cctx.pid());
-                res
-            }
-        })
-        .collect();
-    ctx.fan_out(&name, env.io_window, jobs)
-        .await
-        .unwrap_or_else(|e| panic!("windowed relay write crashed: {}", e))
-        .into_iter()
-        .collect::<Result<Vec<()>, ExchangeError>>()?;
-    Ok(())
-}
-
-/// Windowed relay GETs: one retried [`RelayShard::get_part`] per item,
-/// at most `env.io_window` in flight; payloads return in item order.
-pub(crate) async fn relay_gets_windowed(
-    ctx: &mut Ctx,
-    env: &ExchangeEnv,
-    items: Vec<(RelayShard, usize, usize)>,
-) -> Result<Vec<Bytes>, ExchangeError> {
-    let Some((first, ..)) = items.first() else {
-        return Ok(Vec::new());
-    };
-    let trace = first.trace.clone();
-    let parent = trace.current(ctx.pid());
-    let name = format!("{}-get", env.tag);
-    let jobs: Vec<_> = items
-        .into_iter()
-        .map(|(shard, map, part)| {
-            let env = env.clone();
-            let trace = trace.clone();
-            async move |cctx: &mut Ctx| {
-                trace.enter(cctx.pid(), parent);
-                let res: Result<Bytes, ExchangeError> =
-                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
-                        shard.get_part(c, &env, map, part).await
-                    })
-                    .await;
-                trace.exit(cctx.pid());
-                res
-            }
-        })
-        .collect();
-    ctx.fan_out(&name, env.io_window, jobs)
-        .await
-        .unwrap_or_else(|e| panic!("windowed relay read crashed: {}", e))
-        .into_iter()
-        .collect()
 }

@@ -1,8 +1,13 @@
-//! The shared virtual-time retry helper used by every exchange backend.
+//! The shared virtual-time retry helper, and the one funnel every
+//! exchange backend sends its request batches through.
 
 use faaspipe_des::{Ctx, SimDuration};
 use faaspipe_store::StoreError;
+use faaspipe_trace::TraceSink;
 use rand::Rng;
+
+use crate::api::ExchangeEnv;
+use crate::error::ExchangeError;
 
 /// Classifies an error as worth retrying (transient) or terminal.
 pub trait Retryable {
@@ -67,6 +72,81 @@ fn backoff(ctx: &mut Ctx, attempt: u32) -> SimDuration {
     let capped = if exp > BACKOFF_CAP { BACKOFF_CAP } else { exp };
     let jitter = 0.5 + ctx.rng().gen::<f64>();
     capped.mul_f64(jitter)
+}
+
+/// Runs a batch of retried exchange requests and returns their results
+/// in request order. Every backend's request batches go through here.
+///
+/// `connect` opens a connection and returns the function that sends one
+/// attempt of a request over it; each request runs under [`with_retry`]
+/// with `env.retries` attempts.
+///
+/// With `env.io_window <= 1` or a `logical_total` of at most one, the
+/// requests run one after another on the caller's process over a single
+/// connection, and the first error ends the batch. Otherwise they fan
+/// out through [`Ctx::fan_out_pinned`] to `min(io_window,
+/// logical_total)` workers named `"{tag}-{verb}#i"`. Each request there
+/// opens its own connection and parents its spans to the caller's
+/// current span, and the first error in request order is returned once
+/// every request has finished.
+///
+/// `logical_total` is the size of the batch before the caller elided the
+/// requests that would never leave the host. Pinning the worker count to
+/// it keeps pid order and the virtual-time schedule independent of how
+/// many were elided.
+pub(crate) async fn run_requests<Q, T, S, Connect>(
+    ctx: &mut Ctx,
+    env: &ExchangeEnv,
+    trace: &TraceSink,
+    verb: &str,
+    logical_total: usize,
+    reqs: Vec<Q>,
+    connect: Connect,
+) -> Result<Vec<T>, ExchangeError>
+where
+    Q: 'static,
+    T: 'static,
+    S: AsyncFn(&mut Ctx, &ExchangeEnv, &Q) -> Result<T, ExchangeError>,
+    Connect: AsyncFn(&Ctx, &ExchangeEnv) -> S + Clone + 'static,
+{
+    if env.io_window <= 1 || logical_total <= 1 {
+        let send = connect(ctx, env).await;
+        let mut out = Vec::with_capacity(reqs.len());
+        for req in &reqs {
+            out.push(
+                with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                    send(c, env, req).await
+                })
+                .await?,
+            );
+        }
+        return Ok(out);
+    }
+    let parent = trace.current(ctx.pid());
+    let jobs: Vec<_> = reqs
+        .into_iter()
+        .map(|req| {
+            let env = env.clone();
+            let trace = trace.clone();
+            let connect = connect.clone();
+            async move |cctx: &mut Ctx| {
+                trace.enter(cctx.pid(), parent);
+                let send = connect(cctx, &env).await;
+                let res = with_retry(cctx, env.retries, async |c: &mut Ctx| {
+                    send(c, &env, &req).await
+                })
+                .await;
+                trace.exit(cctx.pid());
+                res
+            }
+        })
+        .collect();
+    let name = format!("{}-{}", env.tag, verb);
+    ctx.fan_out_pinned(&name, env.io_window, logical_total, jobs)
+        .await
+        .unwrap_or_else(|e| panic!("windowed exchange {} crashed: {}", verb, e))
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]

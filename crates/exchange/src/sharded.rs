@@ -19,10 +19,10 @@ use faaspipe_des::{Ctx, LocalBoxFuture};
 use faaspipe_trace::TraceSink;
 use faaspipe_vm::VmFleet;
 
-use crate::api::{DataExchange, ExchangeEnv};
+use crate::api::{dense_parts, DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
-use crate::retry::with_retry;
-use crate::vm_relay::{relay_gets_windowed, relay_puts_windowed, RelayConfig, RelayShard};
+use crate::relay::{RelayConfig, RelayShard};
+use crate::retry::run_requests;
 
 /// Tuning of the [`ShardedRelayExchange`].
 #[derive(Debug, Clone)]
@@ -74,8 +74,10 @@ impl Default for ShardedRelayConfig {
 /// of N (and N× the per-second bill); with
 /// [`prewarm`](ShardedRelayConfig::prewarm) it costs nothing up front.
 pub struct ShardedRelayExchange {
-    shards: Vec<RelayShard>,
+    /// Shared with every request the funnel sends.
+    shards: Arc<[RelayShard]>,
     prewarm: bool,
+    trace: TraceSink,
 }
 
 impl std::fmt::Debug for ShardedRelayExchange {
@@ -106,34 +108,39 @@ impl ShardedRelayExchange {
         ShardedRelayExchange {
             shards,
             prewarm: cfg.prewarm,
+            trace: TraceSink::default(),
         }
     }
 
     /// Routes the shards' request spans and gauges to `sink`.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
-        for shard in &mut self.shards {
+        // Requests hold clones of `shards` only while they run, and none
+        // can run while the builder owns the exchange.
+        let shards = Arc::get_mut(&mut self.shards).expect("no request in flight");
+        for shard in shards {
             shard.set_trace(sink.clone());
         }
+        self.trace = sink;
         self
     }
+}
 
-    /// The shard holding `(map, part)`: FNV-1a over the pair's
-    /// little-endian bytes, mod the shard count. Byte-for-byte
-    /// deterministic — no platform-dependent hasher state.
-    fn route(&self, map: usize, part: usize) -> &RelayShard {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in (map as u64)
-            .to_le_bytes()
-            .into_iter()
-            .chain((part as u64).to_le_bytes())
-        {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+/// The shard holding `(map, part)`: FNV-1a over the pair's
+/// little-endian bytes, mod the shard count. Byte-for-byte
+/// deterministic — no platform-dependent hasher state.
+fn route(shards: &[RelayShard], map: usize, part: usize) -> &RelayShard {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for b in (map as u64)
+        .to_le_bytes()
+        .into_iter()
+        .chain((part as u64).to_le_bytes())
+    {
+        h ^= b as u64;
+        h = h.wrapping_mul(PRIME);
     }
+    &shards[(h % shards.len() as u64) as usize]
 }
 
 impl DataExchange for ShardedRelayExchange {
@@ -141,7 +148,6 @@ impl DataExchange for ShardedRelayExchange {
         &'a self,
         ctx: &'a mut Ctx,
         _maps: usize,
-        _parts: usize,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
         Box::pin(async move {
             // All shards boot as parallel processes, so a cold prepare
@@ -149,7 +155,7 @@ impl DataExchange for ShardedRelayExchange {
             // keep running in the background and the caller overlaps them
             // with its next phase.
             let mut pending = Vec::new();
-            for shard in &self.shards {
+            for shard in self.shards.iter() {
                 if let Some(pid) = shard.begin_provision(ctx, self.prewarm).await {
                     pending.push(pid);
                 }
@@ -163,90 +169,54 @@ impl DataExchange for ShardedRelayExchange {
         })
     }
 
-    fn write_partitions<'a>(
+    fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
         map: usize,
-        parts: Vec<Bytes>,
+        run: Bytes,
+        cuts: Vec<(u32, u64, u64)>,
+        parts_len: usize,
     ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
         Box::pin(async move {
-            let written = parts.iter().map(|d| d.len() as u64).sum();
-            if env.io_window > 1 && parts.len() > 1 {
-                // Routing happens here in the caller; children only move
-                // bytes, so the cell→shard mapping stays identical to the
-                // sequential path.
-                let items = parts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, data)| (self.route(map, j).clone(), map, j, data))
-                    .collect();
-                relay_puts_windowed(ctx, env, items).await?;
-                return Ok(written);
-            }
-            for (j, data) in parts.into_iter().enumerate() {
-                let shard = self.route(map, j);
-                with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                    shard.put_part(c, env, map, j, &data).await
-                })
-                .await?;
-            }
+            // Every partition is one relay object, empty ones included.
+            let written = run.len() as u64;
+            let puts: Vec<(usize, Bytes)> = dense_parts(&run, &cuts, parts_len)
+                .into_iter()
+                .enumerate()
+                .collect();
+            let shards = Arc::clone(&self.shards);
+            let connect = async move |_: &Ctx, _: &ExchangeEnv| {
+                let shards = Arc::clone(&shards);
+                async move |c: &mut Ctx, env: &ExchangeEnv, (part, data): &(usize, Bytes)| {
+                    route(&shards, map, *part)
+                        .put_part(c, env, map, *part, data)
+                        .await
+                }
+            };
+            run_requests(ctx, env, &self.trace, "put", parts_len, puts, connect).await?;
             Ok(written)
         })
     }
 
-    fn read_partition<'a>(
+    fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
-        map: usize,
+        maps: usize,
         part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
-        Box::pin(async move {
-            let shard = self.route(map, part);
-            with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                shard.get_part(c, env, map, part).await
-            })
-            .await
-        })
-    }
-
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
     ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
         Box::pin(async move {
-            if env.io_window <= 1 || reqs.len() <= 1 {
-                let mut out = Vec::with_capacity(reqs.len());
-                for &(map, part) in reqs {
-                    out.push(self.read_partition(ctx, env, map, part).await?);
+            let shards = Arc::clone(&self.shards);
+            let connect = async move |_: &Ctx, _: &ExchangeEnv| {
+                let shards = Arc::clone(&shards);
+                async move |c: &mut Ctx, env: &ExchangeEnv, &map: &usize| {
+                    route(&shards, map, part).get_part(c, env, map, part).await
                 }
-                return Ok(out);
-            }
-            let items = reqs
-                .iter()
-                .map(|&(map, part)| (self.route(map, part).clone(), map, part))
-                .collect();
-            relay_gets_windowed(ctx, env, items).await
-        })
-    }
-
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
-        Box::pin(async move {
-            // One metered LIST per shard; the concatenation is sorted so
-            // output does not depend on shard layout.
-            let mut keys = Vec::new();
-            for shard in &self.shards {
-                keys.extend(shard.list_keys(ctx, env).await?);
-            }
-            keys.sort();
-            Ok(keys)
+            };
+            let mappers: Vec<usize> = (0..maps).collect();
+            let runs = run_requests(ctx, env, &self.trace, "get", maps, mappers, connect).await?;
+            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }
 
@@ -256,7 +226,7 @@ impl DataExchange for ShardedRelayExchange {
         _env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
         Box::pin(async move {
-            for shard in &self.shards {
+            for shard in self.shards.iter() {
                 shard.shutdown(ctx).await;
             }
             Ok(())
@@ -267,6 +237,7 @@ impl DataExchange for ShardedRelayExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::write_dense;
     use faaspipe_des::{ByteSize, Sim, SimDuration};
     use faaspipe_store::FailurePolicy;
     use faaspipe_trace::Category;
@@ -303,8 +274,8 @@ mod tests {
         let mut used = [false; 4];
         for map in 0..16usize {
             for part in 0..16usize {
-                let a = ex.route(map, part).label().to_string();
-                let b = ex.route(map, part).label().to_string();
+                let a = route(&ex.shards, map, part).label().to_string();
+                let b = route(&ex.shards, map, part).label().to_string();
                 assert_eq!(a, b, "routing must be stable");
                 let idx: usize = a.rsplit('-').next().unwrap().parse().unwrap();
                 used[idx] = true;
@@ -321,7 +292,7 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(&mut ctx, 4, 4).await.expect("prepare");
+            ex2.prepare(&mut ctx, 4).await.expect("prepare");
             assert_eq!(
                 ctx.now().as_secs_f64(),
                 44.0,
@@ -331,19 +302,18 @@ mod tests {
                 let parts = (0..4)
                     .map(|j| Bytes::from(vec![(m * 4 + j) as u8; 64]))
                     .collect();
-                ex2.write_partitions(&mut ctx, &env, m, parts)
+                write_dense(&*ex2, &mut ctx, &env, m, parts)
                     .await
                     .expect("write");
             }
-            assert_eq!(ex2.list(&mut ctx, &env).await.expect("list").len(), 16);
-            for m in 0..4usize {
-                for j in 0..4usize {
-                    let data = ex2
-                        .read_partition(&mut ctx, &env, m, j)
-                        .await
-                        .expect("read");
-                    assert_eq!(data, Bytes::from(vec![(m * 4 + j) as u8; 64]));
-                }
+            let stored: usize = ex2.shards.iter().map(RelayShard::object_count).sum();
+            assert_eq!(stored, 16);
+            for j in 0..4usize {
+                let column = ex2.read_gather(&mut ctx, &env, 4, j).await.expect("read");
+                let want: Vec<Bytes> = (0..4)
+                    .map(|m| Bytes::from(vec![(m * 4 + j) as u8; 64]))
+                    .collect();
+                assert_eq!(column, want);
             }
             ex2.cleanup(&mut ctx, &env).await.expect("cleanup");
         });
@@ -364,7 +334,7 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 2).await.expect("prepare");
             assert_eq!(
                 ctx.now().as_secs_f64(),
                 0.0,
@@ -372,7 +342,8 @@ mod tests {
             );
             // 10 s of "sample phase" overlap the 44 s boots...
             ctx.sleep(SimDuration::from_secs(10)).await;
-            ex2.write_partitions(
+            write_dense(
+                &*ex2,
                 &mut ctx,
                 &env,
                 0,
@@ -408,9 +379,10 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 2).await.expect("prepare");
             ctx.sleep(SimDuration::from_secs(10)).await;
-            ex2.write_partitions(
+            write_dense(
+                &*ex2,
                 &mut ctx,
                 &env,
                 0,
@@ -456,7 +428,7 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 2).await.expect("prepare");
             // Tear down while every boot is still in flight.
             ex2.cleanup(&mut ctx, &env).await.expect("cleanup");
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "cleanup waits out the boots");
@@ -489,12 +461,11 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 1);
-            ex2.prepare(&mut ctx, 4, 4).await.expect("prepare");
+            ex2.prepare(&mut ctx, 4).await.expect("prepare");
             let (mut ok, mut down) = (0usize, 0usize);
             for m in 0..4usize {
                 for j in 0..4usize {
-                    match ex2
-                        .route(m, j)
+                    match route(&ex2.shards, m, j)
                         .put_part(&mut ctx, &env, m, j, &Bytes::from_static(b"z"))
                         .await
                     {
@@ -521,30 +492,21 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 2).await.expect("prepare");
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "provisioning charged");
             for m in 0..2usize {
                 let parts = vec![Bytes::from(vec![m as u8; 100]), Bytes::from(vec![0u8; 50])];
-                let written = ex2
-                    .write_partitions(&mut ctx, &env, m, parts)
+                let written = write_dense(&*ex2, &mut ctx, &env, m, parts)
                     .await
                     .expect("write");
                 assert_eq!(written, 150);
             }
+            assert_eq!(ex2.shards[0].object_count(), 4);
+            let column = ex2.read_gather(&mut ctx, &env, 2, 0).await.expect("read");
             assert_eq!(
-                ex2.list(&mut ctx, &env).await.expect("list"),
-                vec![
-                    "relay/00000/00000",
-                    "relay/00000/00001",
-                    "relay/00001/00000",
-                    "relay/00001/00001"
-                ]
+                column,
+                vec![Bytes::from(vec![0u8; 100]), Bytes::from(vec![1u8; 100])]
             );
-            let data = ex2
-                .read_partition(&mut ctx, &env, 1, 0)
-                .await
-                .expect("read");
-            assert_eq!(data, Bytes::from(vec![1u8; 100]));
             ex2.cleanup(&mut ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
@@ -565,7 +527,7 @@ mod tests {
         for name in ["worker-a", "worker-b"] {
             let ex2 = Arc::clone(&ex);
             sim.spawn(name, move |mut ctx| async move {
-                ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+                ex2.prepare(&mut ctx, 2).await.expect("prepare");
                 assert_eq!(
                     ctx.now().as_secs_f64(),
                     44.0,
@@ -575,45 +537,6 @@ mod tests {
         }
         sim.run().expect("sim ok");
         assert_eq!(fleet.records().len(), 1, "exactly one VM provisioned");
-    }
-
-    /// Regression (lifecycle bug 2): `list` used to answer before
-    /// `prepare` (returning `Ok(vec![])` instead of `NotPrepared`) and
-    /// bypassed the request counter, so it could never trip
-    /// `crash_after_requests`. It must be metered like PUT/GET.
-    #[test]
-    fn list_requires_prepare_and_counts_toward_crash() {
-        let mut sim = Sim::new();
-        let cfg = RelayConfig {
-            crash_after_requests: Some(2),
-            ..RelayConfig::default()
-        };
-        let ex = Arc::new(single_relay(VmFleet::new(), cfg));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let env = driver_env();
-            let err = ex2
-                .list(&mut ctx, &env)
-                .await
-                .expect_err("list before prepare");
-            assert_eq!(
-                err,
-                ExchangeError::NotPrepared {
-                    backend: "vm-relay"
-                }
-            );
-            ex2.prepare(&mut ctx, 1, 1).await.expect("prepare");
-            ex2.write_partitions(&mut ctx, &env, 0, vec![Bytes::from("x")])
-                .await
-                .expect("request 1");
-            assert_eq!(ex2.list(&mut ctx, &env).await.expect("request 2").len(), 1);
-            let err = ex2
-                .list(&mut ctx, &env)
-                .await
-                .expect_err("request 3 trips the crash");
-            assert_eq!(err, ExchangeError::RelayDown { op: "LIST" });
-        });
-        sim.run().expect("sim ok");
     }
 
     /// Regression (lifecycle bug 3): failure paths in the request
@@ -634,10 +557,10 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 1);
-            ex2.prepare(&mut ctx, 1, 1).await.expect("prepare");
+            ex2.prepare(&mut ctx, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
-                .read_partition(&mut ctx, &env, 0, 0)
+                .read_gather(&mut ctx, &env, 1, 0)
                 .await
                 .expect_err("first request crashes the relay");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
@@ -650,7 +573,7 @@ mod tests {
             );
             let before = ctx.now();
             let err = ex2
-                .read_partition(&mut ctx, &env, 0, 0)
+                .read_gather(&mut ctx, &env, 1, 0)
                 .await
                 .expect_err("relay stays down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
@@ -663,8 +586,7 @@ mod tests {
             );
             // NotPrepared pays the round-trip too.
             let before = ctx.now();
-            unprepared
-                .write_partitions(&mut ctx, &env, 0, vec![Bytes::from("x")])
+            write_dense(&*unprepared, &mut ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect_err("not prepared");
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
@@ -692,15 +614,13 @@ mod tests {
             let ex2 = Arc::clone(&ex);
             sim.spawn("driver", move |mut ctx| async move {
                 let env = driver_env();
-                ex2.prepare(&mut ctx, 1, 1).await.expect("prepare");
+                ex2.prepare(&mut ctx, 1).await.expect("prepare");
                 let blob = Bytes::from(vec![7u8; 8 * 1024 * 1024]);
-                ex2.write_partitions(&mut ctx, &env, 0, vec![blob])
+                write_dense(&*ex2, &mut ctx, &env, 0, vec![blob])
                     .await
                     .expect("write");
                 let before = ctx.now();
-                ex2.read_partition(&mut ctx, &env, 0, 0)
-                    .await
-                    .expect("read");
+                ex2.read_gather(&mut ctx, &env, 1, 0).await.expect("read");
                 *out2.lock() = ctx.now().saturating_duration_since(before).as_secs_f64();
             });
             sim.run().expect("sim ok");
@@ -733,7 +653,7 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(&mut ctx, 1, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 1).await.expect("prepare");
             let shard = &ex2.shards[0];
             let put = async |ctx: &mut Ctx, part: usize, len: usize| {
                 let data = Bytes::from(vec![9u8; len]);
@@ -785,14 +705,14 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            ex2.prepare(&mut ctx, 2, 2).await.expect("prepare");
+            ex2.prepare(&mut ctx, 2).await.expect("prepare");
             for round in 0..3usize {
                 for m in 0..2usize {
                     let parts = vec![
                         Bytes::from(vec![round as u8; 40]),
                         Bytes::from(vec![round as u8; 35]),
                     ];
-                    ex2.write_partitions(&mut ctx, &env, m, parts)
+                    write_dense(&*ex2, &mut ctx, &env, m, parts)
                         .await
                         .expect("write");
                 }
@@ -824,19 +744,19 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 20);
-            ex2.prepare(&mut ctx, 4, 4).await.expect("prepare");
+            ex2.prepare(&mut ctx, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(&mut ctx, &env, m, parts)
+                write_dense(&*ex2, &mut ctx, &env, m, parts)
                     .await
                     .expect("writes survive 30% faults");
             }
-            for m in 0..4usize {
-                for j in 0..4usize {
-                    ex2.read_partition(&mut ctx, &env, m, j)
-                        .await
-                        .expect("reads survive 30% faults");
-                }
+            for j in 0..4usize {
+                let column = ex2
+                    .read_gather(&mut ctx, &env, 4, j)
+                    .await
+                    .expect("reads survive 30% faults");
+                assert_eq!(column.len(), 4);
             }
         });
         sim.run().expect("sim ok");
@@ -853,16 +773,15 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = ExchangeEnv::driver("test", 5);
-            ex2.prepare(&mut ctx, 1, 4).await.expect("prepare");
+            ex2.prepare(&mut ctx, 1).await.expect("prepare");
             let parts = (0..4).map(|_| Bytes::from(vec![1u8; 16])).collect();
-            let err = ex2
-                .write_partitions(&mut ctx, &env, 0, parts)
+            let err = write_dense(&*ex2, &mut ctx, &env, 0, parts)
                 .await
                 .expect_err("crash kills the exchange");
             assert_eq!(err, ExchangeError::RelayDown { op: "PUT" });
             // Retries cannot resurrect a dead relay.
             let err = ex2
-                .read_partition(&mut ctx, &env, 0, 0)
+                .read_gather(&mut ctx, &env, 1, 0)
                 .await
                 .expect_err("still down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
@@ -877,8 +796,7 @@ mod tests {
         let ex2 = Arc::clone(&ex);
         sim.spawn("driver", move |mut ctx| async move {
             let env = driver_env();
-            let err = ex2
-                .write_partitions(&mut ctx, &env, 0, vec![Bytes::from("x")])
+            let err = write_dense(&*ex2, &mut ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect_err("not prepared");
             assert_eq!(

@@ -346,7 +346,7 @@ pub async fn serverless_sort<R: SortRecord>(
             cfg.exchange,
         )),
     };
-    backend.prepare(ctx, w, w).await?;
+    backend.prepare(ctx, w).await?;
 
     // ---- Phase 0: sample keys with range reads (one fn per mapper). ----
     let p_sample = phase_begin(ctx, &trace, "sample", cfg.orchestration).await;
