@@ -47,8 +47,8 @@ fn bench_process_churn(c: &mut Criterion) {
 }
 
 fn bench_flow_recompute(c: &mut Criterion) {
-    // 64 NIC-limited flows over one backbone; starting each flow triggers
-    // a max-min recomputation over all active flows.
+    // 64 NIC-limited flows over one backbone, started at one instant; the
+    // completion query runs one max-min recomputation over all of them.
     c.bench_function("flow/start_64_shared_backbone", |b| {
         b.iter(|| {
             let mut net = FlowNet::new();
@@ -71,11 +71,12 @@ fn bench_flow_recompute(c: &mut Criterion) {
 
 /// Starts `n` flows at once, each over the links `links_for` picks or
 /// adds, then runs a scheduler-style drain loop (advance to the next
-/// completion, tick, repeat) that retires every flow. Each start and
-/// each tick triggers a rate recompute over every active flow, so the
-/// whole case costs O(n²) flow freezes; what the flow network keeps
-/// small is the constant per freeze (no dense scan over slots or links,
-/// and heap traffic only when a link's lower-bound key goes stale).
+/// completion, tick, repeat) that retires every flow. The starts share
+/// one rate recompute; each tick then triggers one over every active
+/// flow, so the drain costs O(n²) flow freezes; what the flow network
+/// keeps small is the constant per freeze (no dense scan over slots or
+/// links, and heap traffic only when a link's lower-bound key goes
+/// stale).
 fn start_then_drain(
     mut net: FlowNet,
     n: u32,
@@ -134,6 +135,30 @@ fn flow_stress_store(n: u32) {
     });
 }
 
+/// `n` processes in a `Sim` that each start one equal-sized transfer on
+/// the [`flow_stress_store`] topology at the same instant. The backbone
+/// binds, so every flow finishes at one tick too: the run is one
+/// recompute for the burst and one for the finishes, and what remains
+/// is scheduler work linear in `n`.
+fn same_instant_burst(n: u32) -> u64 {
+    let mut sim = Sim::new();
+    let backbone = sim.create_link(Bandwidth::mib_per_sec(10_000.0));
+    let mut nic = backbone;
+    for i in 0..n {
+        if i % STORE_FLOWS_PER_NIC == 0 {
+            nic = sim.create_link(Bandwidth::mib_per_sec(80.0));
+        }
+        let conn = sim.create_link(Bandwidth::mib_per_sec(95.0));
+        sim.spawn(format!("burst{}", i), move |ctx| async move {
+            ctx.transfer(ByteSize::kib(256), &[conn, backbone, nic])
+                .await;
+        });
+    }
+    let report = sim.run().expect("burst sim");
+    assert_eq!(report.flow_recomputes, 2);
+    report.events
+}
+
 fn bench_flow_stress(c: &mut Criterion) {
     let mut g = c.benchmark_group("flow_stress");
     g.sample_size(10);
@@ -143,6 +168,8 @@ fn bench_flow_stress(c: &mut Criterion) {
         g.bench_function(&name, |b| b.iter(|| flow_stress(black_box(n))));
         let name = format!("store_drain_{}_concurrent", n);
         g.bench_function(&name, |b| b.iter(|| flow_stress_store(black_box(n))));
+        let name = format!("same_instant_burst_{}", n);
+        g.bench_function(&name, |b| b.iter(|| same_instant_burst(black_box(n))));
     }
     g.finish();
 }

@@ -6,6 +6,13 @@
 //! numbers make the ordering of simultaneous events FIFO and therefore
 //! deterministic.
 //!
+//! A caller that knows *when* an event must be ordered before it knows the
+//! event's time can [`reserve`](EventQueue::reserve) a sequence number
+//! first and [`schedule_at`](EventQueue::schedule_at) it later: the event
+//! then pops exactly where a `schedule` at reservation time would have
+//! put it among events at the same instant. The flow network's tick uses
+//! this to compute its deadline once per instant (see `sim.rs`).
+//!
 //! Payload slots are recycled through a free list instead of growing a
 //! dense vector for the life of the run: an [`EventId`] packs a slot index
 //! with a per-slot generation, so a handle to an event that already fired
@@ -51,10 +58,14 @@ pub enum Wake {
     LimiterTick(u32),
 }
 
+/// An event's place among events at the same instant: lower fires first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Seq(u64);
+
 #[derive(Debug)]
 struct Entry {
     time: SimTime,
-    seq: u64,
+    seq: Seq,
     id: EventId,
 }
 
@@ -112,6 +123,23 @@ impl EventQueue {
     /// Schedules `wake` to fire at `time`. Events scheduled for the same
     /// instant fire in scheduling order.
     pub fn schedule(&mut self, time: SimTime, wake: Wake) -> EventId {
+        let seq = self.reserve();
+        self.schedule_at(time, seq, wake)
+    }
+
+    /// Takes the next sequence number without scheduling anything. An
+    /// unused reservation leaves a gap, which changes no event's order.
+    pub fn reserve(&mut self) -> Seq {
+        let seq = Seq(self.next_seq);
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `wake` to fire at `time` in the place `seq` holds among
+    /// events at that instant, as if it had been scheduled when `seq` was
+    /// reserved. Each reservation may be scheduled at most once.
+    pub fn schedule_at(&mut self, time: SimTime, seq: Seq, wake: Wake) -> EventId {
+        debug_assert!(seq.0 < self.next_seq, "sequence number was never reserved");
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -121,8 +149,6 @@ impl EventQueue {
         };
         self.slots[slot as usize].wake = Some(wake);
         let id = EventId::new(slot, self.slots[slot as usize].gen);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.heap.push(Reverse(Entry { time, seq, id }));
         self.live += 1;
         id
@@ -143,6 +169,18 @@ impl EventQueue {
         if self.slots[slot].gen == id.generation() && self.slots[slot].wake.take().is_some() {
             self.release(slot);
         }
+    }
+
+    /// The `(time, seq)` of the next live event, discarding the
+    /// tombstones ahead of it.
+    pub fn peek(&mut self) -> Option<(SimTime, Seq)> {
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if self.slots[entry.id.slot()].gen == entry.id.generation() {
+                return Some((entry.time, entry.seq));
+            }
+            self.heap.pop();
+        }
+        None
     }
 
     /// Pops the next live event, skipping tombstones.
@@ -235,6 +273,58 @@ mod tests {
         q.schedule(t(15), Wake::Process(3));
         assert_eq!(q.pop(), Some((t(5), Wake::Process(2))));
         assert_eq!(q.pop(), Some((t(15), Wake::Process(3))));
+    }
+
+    #[test]
+    fn reserved_seq_pops_where_an_eager_schedule_would_have() {
+        // Eager: the tick is scheduled between the second and third
+        // same-instant wakes.
+        let mut eager = EventQueue::new();
+        eager.schedule(t(5), Wake::Process(0));
+        eager.schedule(t(5), Wake::Process(1));
+        eager.schedule(t(5), Wake::FlowTick);
+        eager.schedule(t(5), Wake::Process(2));
+        eager.schedule(t(4), Wake::Process(3));
+        // Deferred: the same slot is reserved at that moment and filled
+        // only after the later events are already queued.
+        let mut deferred = EventQueue::new();
+        deferred.schedule(t(5), Wake::Process(0));
+        deferred.schedule(t(5), Wake::Process(1));
+        let seq = deferred.reserve();
+        deferred.schedule(t(5), Wake::Process(2));
+        deferred.schedule(t(4), Wake::Process(3));
+        deferred.schedule_at(t(5), seq, Wake::FlowTick);
+        let drain = |q: &mut EventQueue| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        let order = drain(&mut eager);
+        assert_eq!(
+            order,
+            vec![
+                (t(4), Wake::Process(3)),
+                (t(5), Wake::Process(0)),
+                (t(5), Wake::Process(1)),
+                (t(5), Wake::FlowTick),
+                (t(5), Wake::Process(2)),
+            ]
+        );
+        assert_eq!(drain(&mut deferred), order);
+    }
+
+    #[test]
+    fn peek_skips_tombstones_and_reports_the_seq() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), Wake::Process(0));
+        let gap = q.reserve();
+        q.schedule(t(2), Wake::Process(1));
+        q.cancel(a);
+        let (time, seq) = q.peek().expect("one live event");
+        assert_eq!(time, t(2));
+        assert!(
+            seq > gap,
+            "a later schedule orders after an earlier reservation"
+        );
+        assert_eq!(q.live_len(), 1);
+        assert_eq!(q.pop(), Some((t(2), Wake::Process(1))));
+        assert_eq!(q.peek(), None);
     }
 
     #[test]

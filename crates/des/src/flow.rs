@@ -5,8 +5,9 @@
 //! (e.g. a function's NIC, the object store's per-connection cap, the
 //! store's aggregate backbone). At any instant each flow progresses at its
 //! **max-min fair** rate given all concurrently active flows; rates are
-//! recomputed whenever a flow starts or finishes (progressive filling /
-//! water-filling algorithm).
+//! recomputed after flows start or finish, once for all the starts and
+//! finishes at one virtual instant ahead of the next completion check
+//! (progressive filling / water-filling algorithm).
 //!
 //! This is what makes "the huge aggregated bandwidth of object storage" —
 //! the paper's central performance argument — an emergent, measurable
@@ -15,11 +16,17 @@
 //!
 //! # Scaling discipline
 //!
-//! Every flow start/finish triggers a rate recompute, and every recompute
-//! re-freezes *all* `A` active flows, so its cost is `O(A·ℓ + T)` for ℓ
-//! links per flow (a small constant; store flows cross three) and `T`
-//! links carrying traffic. What matters is the constant per freeze, and
-//! that nothing scans every slot or link ever allocated:
+//! A flow start or finish only updates membership and marks the network
+//! dirty. Rates are recomputed by [`FlowNet::refresh`], which runs when
+//! something reads them: a settle that moves bytes forward, a tick, or a
+//! [`FlowNet::next_completion`] query. The scheduler refreshes only
+//! before it pops an event that could be ordered after the flow tick, so
+//! a burst of `N` starts at one instant costs one recompute instead of
+//! `N`. Each recompute still re-freezes *all* `A` active flows, so its
+//! cost is `O(A·ℓ + T)` for ℓ links per flow (a small constant; store
+//! flows cross three) and `T` links carrying traffic. What matters is
+//! the constant per freeze, and that nothing scans every slot or link
+//! ever allocated:
 //!
 //! * per-link **membership lists** (`members`) let each progressive-filling
 //!   round freeze exactly the flows crossing the bottleneck instead of
@@ -29,7 +36,7 @@
 //!   from a scan over every touched link per round;
 //! * per-flow **completion deadlines** are folded into `recompute` the
 //!   moment a rate freezes, so the scheduler's `next_completion` query is
-//!   O(1) instead of a scan over all flows after every start/finish;
+//!   O(1) instead of a scan over all flows after every refresh;
 //! * `settle`, `tick` and `link_rate` walk the active-flow / member lists,
 //!   not every slot ever allocated.
 //!
@@ -56,7 +63,12 @@
 //! accepted share is the live `residual/count`, so `residual`, `counts`
 //! and the completion deadlines see the same floating-point operations on
 //! the same operands in the same order, and rates are bit-identical. A
-//! dense reference in the tests checks this after every start and tick.
+//! dense reference in the tests checks this after every start, burst of
+//! starts and tick.
+//!
+//! Deferring the recompute changes no rate either: within one instant no
+//! bytes move, so the rates after the last start are the same function of
+//! the active set whether or not a recompute ran after each earlier one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -154,6 +166,11 @@ pub struct FlowNet {
     /// remaining during the last recompute. A non-empty list means the
     /// rate computation starved a flow that can never finish.
     stalled: Vec<u32>,
+    /// Flows started or finished since the last recompute; rates, the
+    /// completion index and `stalled` are out of date until `refresh`.
+    dirty: bool,
+    /// Recomputes run so far (see [`FlowNet::recomputes`]).
+    recomputes: u64,
     scratch: RecomputeScratch,
 }
 
@@ -196,9 +213,17 @@ impl FlowNet {
         self.active.len()
     }
 
-    /// The instantaneous aggregate rate through `link`, in bytes/sec.
-    /// Useful for instrumentation (e.g. the aggregate-bandwidth experiment).
+    /// Rate recomputes run so far: at most one per [`FlowNet::refresh`]
+    /// after a start or finish.
+    pub(crate) fn recomputes(&self) -> u64 {
+        self.recomputes
+    }
+
+    /// The instantaneous aggregate rate through `link`, in bytes/sec, as
+    /// of the last [`FlowNet::refresh`]. Useful for instrumentation (e.g.
+    /// the aggregate-bandwidth experiment).
     pub fn link_rate(&self, link: LinkId) -> f64 {
+        debug_assert!(!self.dirty, "link_rate read before refresh");
         let Some(members) = self.members.get(link.0 as usize) else {
             return 0.0;
         };
@@ -219,15 +244,28 @@ impl FlowNet {
         sum
     }
 
-    /// Wakers of flows starved by the last rate recompute (frozen at a
+    /// Wakers of flows starved by the current rates (frozen at a
     /// non-positive rate with bytes still to move). Such a flow can never
     /// complete unless a competing flow finishes first; the scheduler
     /// surfaces it as a loud error instead of deadlocking silently.
     pub fn take_stalled(&mut self) -> Option<u32> {
+        self.refresh();
         self.stalled.pop()
     }
 
-    /// Starts a new flow owned by process `waker`. Call
+    /// Brings rates, the completion index and the stalled list up to date
+    /// with the flows started and finished since the last refresh: one
+    /// recompute if any were, nothing otherwise.
+    pub fn refresh(&mut self) {
+        if self.dirty {
+            self.dirty = false;
+            self.recompute();
+        }
+    }
+
+    /// Starts a new flow owned by process `waker`. Rates are not
+    /// recomputed until the next [`FlowNet::refresh`], so starting many
+    /// flows at one instant costs one recompute. Call
     /// [`FlowNet::next_completion`] afterwards to reschedule the tick.
     ///
     /// # Panics
@@ -275,16 +313,20 @@ impl FlowNet {
             let mpos = members[li].partition_point(|&m| m < slot);
             members[li].insert(mpos, slot);
         }
-        self.recompute();
+        self.dirty = true;
         FlowKey(i)
     }
 
     /// Advances flow progress to `now`, removes completed flows, and
     /// appends the process indices to resume to `woken` (cleared first,
     /// in deterministic flow order). The caller owns the buffer so the
-    /// per-tick allocation can be amortised away.
+    /// per-tick allocation can be amortised away. Like [`FlowNet::start`],
+    /// a finish leaves the recompute to the next refresh.
     pub fn tick(&mut self, now: SimTime, woken: &mut Vec<u32>) {
         self.settle(now);
+        // Completion is judged on current rates (an infinite rate is
+        // done), so flows started at this instant must be rated first.
+        self.refresh();
         woken.clear();
         let done = &mut self.scratch.done;
         done.clear();
@@ -323,19 +365,22 @@ impl FlowNet {
             self.free.push(i);
         }
         self.active.retain(|&fi| self.flows[fi as usize].is_some());
-        self.recompute();
+        self.dirty = true;
     }
 
-    /// When the earliest active flow will complete, if any.
+    /// When the earliest active flow will complete, if any. Refreshes
+    /// rates first.
     ///
-    /// O(1): rates only change inside `FlowNet::recompute`, which folds
-    /// each flow's completion deadline into a maintained minimum the
-    /// moment the rate freezes. The cached value is relative to the last
-    /// settle instant; every scheduler query happens right after a
-    /// settle+recompute at the same timestamp, so the fast path always
-    /// applies there. Any other call pattern (e.g. a probe at an
-    /// arbitrary time) falls back to the reference scan.
-    pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
+    /// O(1) after the refresh: rates only change inside
+    /// `FlowNet::recompute`, which folds each flow's completion deadline
+    /// into a maintained minimum the moment the rate freezes. The cached
+    /// value is relative to the last settle instant; every scheduler
+    /// query happens right after a settle+refresh at the same timestamp,
+    /// so the fast path always applies there. Any other call pattern
+    /// (e.g. a probe at an arbitrary time) falls back to the reference
+    /// scan.
+    pub fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
+        self.refresh();
         if self.earliest_fresh && now == self.last_settle {
             return self.earliest.map(|d| now.saturating_add(d));
         }
@@ -343,9 +388,11 @@ impl FlowNet {
     }
 
     /// Reference implementation of [`FlowNet::next_completion`]: a full
-    /// scan over every flow slot. Kept as the oracle the incremental
-    /// completion index is property-tested against.
+    /// scan over every flow slot, at the rates of the last refresh. Kept
+    /// as the oracle the incremental completion index is property-tested
+    /// against.
     pub fn next_completion_reference(&self, now: SimTime) -> Option<SimTime> {
+        debug_assert!(!self.dirty, "completion reference read before refresh");
         let mut best: Option<SimDuration> = None;
         for f in self.flows.iter().flatten() {
             let d = if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
@@ -379,14 +426,18 @@ impl FlowNet {
     }
 
     /// Advances all remaining-byte counters to `now` at current rates.
+    /// Bytes move only when time does, so only then must the rates be
+    /// refreshed first; starts within one instant leave it pending.
     fn settle(&mut self, now: SimTime) {
         let dt = now
             .saturating_duration_since(self.last_settle)
             .as_secs_f64();
-        self.last_settle = now;
         if dt <= 0.0 {
+            self.last_settle = now;
             return;
         }
+        self.refresh();
+        self.last_settle = now;
         // Remaining-byte counters moved; cached deadlines are measured
         // from the old settle instant and must be re-derived.
         self.earliest_fresh = false;
@@ -411,9 +462,10 @@ impl FlowNet {
     /// had them (ascending link id, ascending flow slot, shares derived
     /// from the live residual/count at selection time), so computed
     /// rates — and therefore virtual time — are bit-identical. The work
-    /// is still proportional to the active flows: every start and finish
-    /// re-freezes all of them.
+    /// is still proportional to the active flows: every refresh after a
+    /// start or finish re-freezes all of them.
     fn recompute(&mut self) {
+        self.recomputes += 1;
         let FlowNet {
             links,
             flows,
@@ -571,7 +623,8 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
-    fn rates(net: &FlowNet) -> Vec<f64> {
+    fn rates(net: &mut FlowNet) -> Vec<f64> {
+        net.refresh();
         net.flows.iter().flatten().map(|f| f.rate).collect()
     }
 
@@ -673,7 +726,7 @@ mod tests {
             },
             0,
         );
-        assert_eq!(rates(&net), vec![100.0]);
+        assert_eq!(rates(&mut net), vec![100.0]);
         let done_at = net.next_completion(t(0)).expect("one active flow");
         assert!(done_at.as_nanos().abs_diff(t(2000).as_nanos()) <= 2);
     }
@@ -688,7 +741,7 @@ mod tests {
         };
         net.start(t(0), spec(100), 0);
         net.start(t(0), spec(100), 1);
-        assert_eq!(rates(&net), vec![50.0, 50.0]);
+        assert_eq!(rates(&mut net), vec![50.0, 50.0]);
     }
 
     #[test]
@@ -714,7 +767,7 @@ mod tests {
             },
             1,
         );
-        let r = rates(&net);
+        let r = rates(&mut net);
         assert_eq!(r[0], 10.0);
         assert_eq!(r[1], 90.0);
     }
@@ -745,7 +798,7 @@ mod tests {
         let woken = tick(&mut net, first);
         assert_eq!(woken, vec![0]);
         // Flow 1 had 500-50=450 left, now at full 100 B/s.
-        assert_eq!(rates(&net), vec![100.0]);
+        assert_eq!(rates(&mut net), vec![100.0]);
         let second = net.next_completion(first).expect("one active flow");
         assert!(second.as_nanos().abs_diff(t(1000 + 4500).as_nanos()) <= 4);
     }
@@ -799,6 +852,7 @@ mod tests {
             );
         }
         // 4 NIC-limited flows at 100 B/s each => 400 B/s on the backbone.
+        net.refresh();
         assert!((net.link_rate(backbone) - 400.0).abs() < 1e-9);
     }
 
@@ -818,7 +872,7 @@ mod tests {
             );
         }
         // Fair share on the backbone is 62.5 B/s < NIC cap.
-        for r in rates(&net) {
+        for r in rates(&mut net) {
             assert!((r - 62.5).abs() < 1e-9);
         }
         assert!((net.link_rate(backbone) - 250.0).abs() < 1e-9);
@@ -851,6 +905,67 @@ mod tests {
         tick(&mut net, done);
         net.start(done, spec, 1);
         assert_eq!(net.flows.len(), 1, "slot should be recycled");
+    }
+
+    #[test]
+    fn starts_at_one_instant_share_one_recompute() {
+        let mut net = FlowNet::new();
+        let backbone = net.add_link(Bandwidth::bytes_per_sec(250.0));
+        for i in 0..8 {
+            let nic = net.add_link(Bandwidth::bytes_per_sec(100.0));
+            let spec = FlowSpec {
+                bytes: ByteSize::new(1000 + i as u64),
+                links: vec![nic, backbone],
+            };
+            net.start(t(3), spec, i);
+        }
+        assert_eq!(net.recomputes(), 0, "starts only mark the net dirty");
+        let first = net.next_completion(t(3)).expect("eight active flows");
+        assert_eq!(net.recomputes(), 1);
+        assert_eq!(
+            net.next_completion(t(3)),
+            Some(first),
+            "a clean net is not recomputed"
+        );
+        assert_eq!(net.recomputes(), 1);
+        // A finish is deferred the same way, and the first flow to finish
+        // is the smallest one at the common backbone share.
+        assert_eq!(tick(&mut net, first), vec![0]);
+        assert_eq!(net.recomputes(), 1);
+        assert!(net.next_completion(first).is_some());
+        assert_eq!(net.recomputes(), 2);
+    }
+
+    #[test]
+    fn a_tick_at_the_start_instant_rates_the_new_flows_first() {
+        // An unconstrained flow completes at the instant it starts, even
+        // when nothing refreshed the net between its start and the tick.
+        let mut net = FlowNet::new();
+        let l = net.add_link(Bandwidth::UNLIMITED);
+        let spec = FlowSpec {
+            bytes: ByteSize::gib(1),
+            links: vec![l],
+        };
+        net.start(t(1), spec, 3);
+        assert_eq!(tick(&mut net, t(1)), vec![3]);
+    }
+
+    #[test]
+    fn time_advancing_past_unrefreshed_starts_moves_bytes_at_their_rates() {
+        // No query between the starts and a later tick: the settle must
+        // rate the new flows before it moves their bytes.
+        let mut net = FlowNet::new();
+        let l = net.add_link(Bandwidth::bytes_per_sec(100.0));
+        let spec = |b| FlowSpec {
+            bytes: ByteSize::new(b),
+            links: vec![l],
+        };
+        net.start(t(0), spec(100), 0);
+        net.start(t(0), spec(300), 1);
+        // 50 B/s each for 1 s: 50 and 250 bytes left.
+        assert_eq!(tick(&mut net, t(1000)), Vec::<u32>::new());
+        let done = net.next_completion(t(1000)).expect("two active flows");
+        assert!(done.as_nanos().abs_diff(t(2000).as_nanos()) <= 2);
     }
 
     #[test]
@@ -919,20 +1034,24 @@ mod tests {
     // store-shaped flow (fresh per-connection link, the shared backbone,
     // one of the function NICs), kind 3 advances `dt` and ticks, kind 4
     // advances to the predicted completion and ticks (the scheduler's
-    // own pattern). `shape` bits vary the flow: bit 0 adds the infinite
-    // link, bit 1 lists the NIC twice, bit 2 skips the backbone, bit 3
-    // gives the connection its NIC's capacity (an equal-capacity tie).
+    // own pattern), and kind 5 starts a burst of 2–8 such flows at one
+    // instant with no refresh between them (the scheduler's pattern when
+    // many processes transfer at once). `shape` bits vary the flow: bit 0
+    // adds the infinite link, bit 1 lists the NIC twice, bit 2 skips the
+    // backbone, bit 3 gives the connection its NIC's capacity (an
+    // equal-capacity tie). Every op ends with one refresh, as the
+    // scheduler does before it reads rates.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// After every start and tick, and through a drain to quiescence,
-        /// every active flow's rate equals the dense reference's bit for
-        /// bit.
+        /// After every start, burst of starts and tick, and through a
+        /// drain to quiescence, every active flow's rate equals the dense
+        /// reference's bit for bit, and so does the completion deadline.
         #[test]
         fn rates_match_dense_reference_bit_for_bit(
             caps in (1u64..=400, 1u64..=100, 1u64..=100),
             nic_class in vec(0u8..3, 1..8),
-            ops in vec((0u8..5, 1u64..=1 << 30, any::<u8>(), any::<u8>(), 1u64..500_000_000), 1..120),
+            ops in vec((0u8..6, 1u64..=1 << 30, any::<u8>(), any::<u8>(), 1u64..500_000_000), 1..120),
         ) {
             // Capacities in sevenths of a MiB/s so shares round. The
             // backbone (up to ~57 MiB/s) binds against a few connections
@@ -950,25 +1069,34 @@ mod tests {
             let mut now = SimTime::ZERO;
             let mut woken = Vec::new();
             let mut waker = 0u32;
+            let mut start = |net: &mut FlowNet, now: SimTime, bytes: u64, nic: u8, shape: u8| {
+                let (nic, class) = nics[nic as usize % nics.len()];
+                let conn = if shape & 8 != 0 { nic_bw(class) } else { bw(conn_cap) };
+                let mut links = vec![net.add_link(conn)];
+                if shape & 4 == 0 {
+                    links.push(backbone);
+                }
+                links.push(nic);
+                if shape & 2 != 0 {
+                    links.push(nic);
+                }
+                if shape & 1 != 0 {
+                    links.push(unlimited);
+                }
+                let spec = FlowSpec { bytes: ByteSize::new(bytes), links };
+                net.start(now, spec, waker);
+                waker += 1;
+            };
             for &(kind, bytes, nic, shape, dt) in &ops {
+                let recomputes = net.recomputes();
                 match kind {
-                    0..=2 => {
-                        let (nic, class) = nics[nic as usize % nics.len()];
-                        let conn = if shape & 8 != 0 { nic_bw(class) } else { bw(conn_cap) };
-                        let mut links = vec![net.add_link(conn)];
-                        if shape & 4 == 0 {
-                            links.push(backbone);
+                    0..=2 => start(&mut net, now, bytes, nic, shape),
+                    5 => {
+                        for j in 0..2 + dt % 7 {
+                            let j8 = j as u8;
+                            let bytes = bytes.rotate_left(7 * j as u32) % (1 << 30) + 1;
+                            start(&mut net, now, bytes, nic.wrapping_add(j8), shape.rotate_left(j as u32));
                         }
-                        links.push(nic);
-                        if shape & 2 != 0 {
-                            links.push(nic);
-                        }
-                        if shape & 1 != 0 {
-                            links.push(unlimited);
-                        }
-                        let spec = FlowSpec { bytes: ByteSize::new(bytes), links };
-                        net.start(now, spec, waker);
-                        waker += 1;
                     }
                     3 => {
                         now = now.saturating_add(SimDuration::from_nanos(dt));
@@ -981,12 +1109,24 @@ mod tests {
                         }
                     }
                 }
-                check_rates(&net, &format!("op ({}, {}, {}, {}, {})", kind, bytes, nic, shape, dt))?;
+                net.refresh();
+                if kind == 5 {
+                    prop_assert_eq!(net.recomputes(), recomputes + 1, "a burst costs one recompute");
+                }
+                let after = format!("op ({}, {}, {}, {}, {})", kind, bytes, nic, shape, dt);
+                check_rates(&net, &after)?;
+                prop_assert_eq!(
+                    net.next_completion(now),
+                    net.next_completion_reference(now),
+                    "completion after {}",
+                    after
+                );
             }
             let mut rounds = 0usize;
             while let Some(t) = net.next_completion(now) {
                 now = t;
                 net.tick(now, &mut woken);
+                net.refresh();
                 check_rates(&net, "a drain tick")?;
                 rounds += 1;
                 prop_assert!(rounds < 10_000, "drain did not converge");

@@ -7,7 +7,7 @@ use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::task::{Context as PollContext, Poll, Waker};
 
-use crate::events::{EventId, EventQueue, Wake};
+use crate::events::{EventId, EventQueue, Seq, Wake};
 use crate::flow::{FlowNet, LinkId};
 use crate::pool::OffloadPool;
 use crate::process::{
@@ -92,6 +92,11 @@ pub struct SimReport {
     /// OS threads the CPU-offload pool created over the whole run
     /// (lazy, capped at `min(host cores, 8)`).
     pub offload_workers: usize,
+    /// Max-min rate recomputes the flow network ran. Transfers that start
+    /// or finish at one instant ahead of the same flow tick share one, so
+    /// a burst of `N` starts costs one, not `N`. A host-cost gauge;
+    /// virtual time does not depend on it.
+    pub flow_recomputes: u64,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +141,10 @@ pub struct Sim {
     limiter_events: Vec<Option<EventId>>,
     flownet: FlowNet,
     flow_event: Option<EventId>,
+    /// The queue slot reserved for the next flow tick while the flow
+    /// network has starts or finishes not yet refreshed; see
+    /// [`Sim::flush_flow_tick`].
+    flow_pending: Option<Seq>,
     /// Reusable buffer for flow/limiter tick wake lists, so steady-state
     /// ticks do no per-event allocation.
     tick_woken: Vec<u32>,
@@ -182,6 +191,7 @@ impl Sim {
             limiter_events: Vec::new(),
             flownet: FlowNet::new(),
             flow_event: None,
+            flow_pending: None,
             tick_woken: Vec::new(),
             fatal: None,
             offload: OffloadPool::new(),
@@ -273,7 +283,6 @@ impl Sim {
                     }
                     woken.clear();
                     self.tick_woken = woken;
-                    self.check_flow_stall();
                     self.reschedule_flow_tick();
                 }
                 Wake::LimiterTick(li) => {
@@ -289,6 +298,9 @@ impl Sim {
                     self.reschedule_limiter_tick(li);
                 }
             }
+            // Starts and finishes only reserved the flow tick's slot; its
+            // deadline is due before the next pop can overtake that slot.
+            self.flush_flow_tick();
             if let Some(err) = self.fatal.take() {
                 return Err(err);
             }
@@ -322,6 +334,7 @@ impl Sim {
             events: self.events_dispatched,
             peak_live_processes: self.peak_live,
             offload_workers: self.offload.worker_count(),
+            flow_recomputes: self.flownet.recomputes(),
         })
     }
 
@@ -330,9 +343,35 @@ impl Sim {
         self.queue.schedule(self.now(), Wake::Process(pidx));
     }
 
-    /// Records a fatal error if the last rate recompute starved a flow;
-    /// the run loop terminates with it after the current event.
-    fn check_flow_stall(&mut self) {
+    /// Called after every flow start and finish, where the flow tick has
+    /// to move. The old tick is cancelled and the new one's queue slot is
+    /// reserved now, so it lands exactly where scheduling it now would;
+    /// its time waits for [`Sim::flush_flow_tick`].
+    fn reschedule_flow_tick(&mut self) {
+        if let Some(ev) = self.flow_event.take() {
+            self.queue.cancel(ev);
+        }
+        self.flow_pending = Some(self.queue.reserve());
+    }
+
+    /// Refreshes the flow network and schedules the reserved tick, unless
+    /// the next event is one that pops before the tick whatever its
+    /// deadline: same instant, earlier slot. Such an event may start or
+    /// finish more flows, and one refresh then covers them all. Every
+    /// other event would be ordered after a tick due now, so the tick is
+    /// in the queue before any of them pops and the event order is the
+    /// one an eager refresh after every start and finish gives. Records a
+    /// fatal error if the rates starve a flow; the run loop terminates
+    /// with it.
+    fn flush_flow_tick(&mut self) {
+        let Some(seq) = self.flow_pending else {
+            return;
+        };
+        let now = self.now();
+        if matches!(self.queue.peek(), Some((t, s)) if t == now && s < seq) {
+            return;
+        }
+        self.flow_pending = None;
         if let Some(waker) = self.flownet.take_stalled() {
             if self.fatal.is_none() {
                 self.fatal = Some(SimError::FlowStalled {
@@ -340,14 +379,8 @@ impl Sim {
                 });
             }
         }
-    }
-
-    fn reschedule_flow_tick(&mut self) {
-        if let Some(ev) = self.flow_event.take() {
-            self.queue.cancel(ev);
-        }
-        if let Some(at) = self.flownet.next_completion(self.now()) {
-            self.flow_event = Some(self.queue.schedule(at, Wake::FlowTick));
+        if let Some(at) = self.flownet.next_completion(now) {
+            self.flow_event = Some(self.queue.schedule_at(at, seq, Wake::FlowTick));
         }
     }
 
@@ -533,7 +566,6 @@ impl Sim {
             YieldMsg::Transfer(spec) => {
                 self.flownet.start(now, spec, pidx);
                 self.procs[pidx as usize].resume_with = ResumeMsg::Go;
-                self.check_flow_stall();
                 self.reschedule_flow_tick();
                 false
             }
