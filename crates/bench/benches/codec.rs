@@ -41,6 +41,17 @@ fn bench_methcomp(c: &mut Criterion) {
     g.finish();
 }
 
+/// The text serializer at Table 1's record count: rendering the text
+/// against counting its length, which is what verification needs.
+fn bench_bed(c: &mut Criterion) {
+    let ds = Synthesizer::new(77).generate_records(150_000);
+    let mut g = c.benchmark_group("bed");
+    g.throughput(Throughput::Elements(ds.len() as u64));
+    g.bench_function("to_text_150k", |b| b.iter(|| black_box(&ds).to_text()));
+    g.bench_function("text_len_150k", |b| b.iter(|| black_box(&ds).text_len()));
+    g.finish();
+}
+
 fn bench_huffman(c: &mut Criterion) {
     let freqs: Vec<u64> = (0..286u64)
         .map(|i| 1 + (i * 2_654_435_761) % 10_000)
@@ -96,6 +107,7 @@ criterion_group!(
     benches,
     bench_gzipish,
     bench_methcomp,
+    bench_bed,
     bench_huffman,
     bench_range_coder,
     bench_varint,

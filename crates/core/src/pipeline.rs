@@ -257,7 +257,7 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
         })?;
 
     // Stage the input dataset (already "in COS" when the pipeline starts).
-    let dataset = Synthesizer::new(cfg.seed).generate_shuffled(cfg.physical_records);
+    let mut dataset = Synthesizer::new(cfg.seed).generate_shuffled(cfg.physical_records);
     let per = dataset.records.len().div_ceil(cfg.parallelism);
     for (i, chunk) in dataset.records.chunks(per).enumerate() {
         let data = SortRecord::write_all(chunk);
@@ -391,8 +391,8 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
     let mut text_bytes = 0usize;
     let mut archive_bytes = 0usize;
     if cfg.verify {
-        let mut expect = dataset.clone();
-        expect.sort();
+        // The input is not needed after this point: sort it in place.
+        dataset.sort();
         let mut all: Vec<MethRecord> = Vec::with_capacity(dataset.len());
         let run_keys = store.keys_untimed("data", "sorted/");
         if run_keys.is_empty() {
@@ -429,7 +429,7 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
                             message: format!("archive {} does not round-trip", j),
                         });
                     }
-                    text_bytes += decoded.to_text().len();
+                    text_bytes += decoded.text_len();
                 }
                 EncodeCodec::Gzipish => {
                     let text = faaspipe_codec::gzipish::decompress(&archive).map_err(|e| {
@@ -448,7 +448,7 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
             }
             all.extend(records);
         }
-        if all != expect.records {
+        if all != dataset.records {
             return Err(PipelineError::Verification {
                 message: "concatenated runs are not the sorted input".to_string(),
             });

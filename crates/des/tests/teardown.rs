@@ -167,8 +167,9 @@ fn every_body_and_future_is_dropped_once_and_offload_threads_join() {
     }
 
     // A stalled flow ends the run at the instant it starts: the
-    // offloader's kernel may still be running, and the processes queued
-    // behind the starved one never start. Debug builds trip the flow
+    // offloader's kernel may still be running. The `late*` processes,
+    // queued at that instant ahead of the flow tick's slot, run before
+    // the stall is reported and the run ends. Debug builds trip the flow
     // network's invariant check (a panic out of `run`) before the typed
     // error; teardown must hold on that path too.
     {

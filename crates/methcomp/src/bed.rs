@@ -11,7 +11,7 @@
 //! `itemRgb` encodes the methylation level) — redundancy a
 //! special-purpose codec exploits and a byte-oriented one pays for.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Canonical chromosome order used for sort keys and compact ids
 /// (hg38 autosomes + X, Y).
@@ -20,6 +20,11 @@ pub const CHROM_NAMES: [&str; 24] = [
     "chr12", "chr13", "chr14", "chr15", "chr16", "chr17", "chr18", "chr19", "chr20", "chr21",
     "chr22", "chrX", "chrY",
 ];
+
+/// Decimal digits in `v`'s text form.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
 
 /// Looks up a chromosome's compact id.
 pub fn chrom_id(name: &str) -> Option<u8> {
@@ -76,28 +81,64 @@ impl MethRecord {
     /// The derived `itemRgb` column encoding the methylation level the way
     /// ENCODE tracks do (a green→red ramp).
     pub fn item_rgb(&self) -> String {
-        let m = self.meth_pct as u32;
-        let r = 255 * m / 100;
-        let g = 255 * (100 - m) / 100;
+        let (r, g) = self.rgb();
         format!("{},{},0", r, g)
     }
 
-    /// Serializes to one canonical bedMethyl text line (no newline).
-    pub fn to_line(&self) -> String {
-        let chrom = CHROM_NAMES[self.chrom as usize];
-        format!(
-            "{}\t{}\t{}\t.\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            chrom,
+    /// The red and green components of `itemRgb` (blue is always 0).
+    fn rgb(&self) -> (u32, u32) {
+        let m = self.meth_pct as u32;
+        (255 * m / 100, 255 * (100 - m) / 100)
+    }
+
+    /// Appends the canonical bedMethyl text line and its newline to `out`.
+    ///
+    /// This is the one renderer: [`MethRecord::to_line`] and
+    /// [`Dataset::to_text`] wrap it, and [`MethRecord::text_len`] counts
+    /// what it writes.
+    pub fn write_line(&self, out: &mut String) {
+        let (r, g) = self.rgb();
+        writeln!(
+            out,
+            "{}\t{}\t{}\t.\t{}\t{}\t{}\t{}\t{},{},0\t{}\t{}",
+            CHROM_NAMES[self.chrom as usize],
             self.start,
             self.end,
             self.score(),
             self.strand.as_char(),
             self.start,
             self.end,
-            self.item_rgb(),
+            r,
+            g,
             self.coverage,
             self.meth_pct
         )
+        .expect("formatting into a String cannot fail");
+    }
+
+    /// Serializes to one canonical bedMethyl text line (no newline).
+    pub fn to_line(&self) -> String {
+        let mut line = String::with_capacity(self.text_len());
+        self.write_line(&mut line);
+        line.pop();
+        line
+    }
+
+    /// The number of bytes [`MethRecord::write_line`] appends, newline
+    /// included, worked out from digit counts without rendering.
+    pub fn text_len(&self) -> usize {
+        let (r, g) = self.rgb();
+        // 10 tabs, the `.` name, the strand, the `,` and `,0` of `itemRgb`
+        // and the newline.
+        const FIXED: usize = 10 + 1 + 1 + 1 + 2 + 1;
+        CHROM_NAMES[self.chrom as usize].len()
+            + 2 * (digits(self.start) + digits(self.end))
+            + digits(u64::from(self.score()))
+            + digits(u64::from(r))
+            + digits(u64::from(g))
+            + digits(u64::from(self.coverage))
+            + digits(u64::from(self.meth_pct))
+            + FIXED
     }
 
     /// Parses one bedMethyl line.
@@ -238,12 +279,16 @@ impl Dataset {
 
     /// Serializes to canonical bedMethyl text (newline-terminated lines).
     pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 64);
+        let mut out = String::with_capacity(self.text_len());
         for r in &self.records {
-            out.push_str(&r.to_line());
-            out.push('\n');
+            r.write_line(&mut out);
         }
         out
+    }
+
+    /// The length of [`Dataset::to_text`] in bytes, without rendering it.
+    pub fn text_len(&self) -> usize {
+        self.records.iter().map(MethRecord::text_len).sum()
     }
 
     /// Number of records.

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "{} records: {} B text, {} B plain archive, {} B indexed archive",
         dataset.len(),
-        dataset.to_text().len(),
+        dataset.text_len(),
         plain.len(),
         indexed.len()
     );

@@ -307,11 +307,12 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     } else {
         synth.generate_records(records)
     };
-    std::fs::write(&out, ds.to_text()).map_err(|e| format!("{}: {}", out, e))?;
+    let text = ds.to_text();
+    std::fs::write(&out, &text).map_err(|e| format!("{}: {}", out, e))?;
     eprintln!(
         "wrote {} records ({} bytes) to {}",
         ds.len(),
-        ds.to_text().len(),
+        text.len(),
         out
     );
     Ok(())

@@ -194,3 +194,75 @@ proptest! {
         let _ = gzipish::decompress(&data);
     }
 }
+
+/// Values on both sides of every decimal digit-count boundary up to
+/// `max` (9/10, 99/100, …), where a digit-count error in `text_len`
+/// would show.
+fn around_powers_of_ten(max: u64) -> impl Strategy<Value = u64> {
+    (0u32..20, 0u64..4).prop_map(move |(k, d)| (10u64.pow(k).saturating_sub(2) + d).min(max))
+}
+
+/// The largest `start` for which `end = start + width + 1` fits in a
+/// `u64` for every width `arb_text_record` draws.
+const MAX_START: u64 = u64::MAX - 3;
+
+prop_compose! {
+    /// Any valid record, with coordinates and coverage across their whole
+    /// ranges rather than the genome-scale ones `arb_record` draws.
+    fn arb_text_record()(
+        chrom in 0u8..24,
+        start in prop_oneof![0u64..=MAX_START, around_powers_of_ten(MAX_START), 0u64..250_000_000],
+        width in 0u64..3,
+        minus in any::<bool>(),
+        coverage in prop_oneof![
+            any::<u32>(),
+            0u32..=2_000,
+            around_powers_of_ten(u64::from(u32::MAX)).prop_map(|v| v as u32),
+        ],
+        meth_pct in 0u8..=100,
+    ) -> MethRecord {
+        MethRecord {
+            chrom,
+            start,
+            end: start + width + 1,
+            strand: if minus { Strand::Minus } else { Strand::Plus },
+            coverage,
+            meth_pct,
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn text_len_and_write_line_agree_with_to_line(records in vec(arb_text_record(), 0..64)) {
+        let mut text = String::new();
+        for r in &records {
+            let line = r.to_line();
+            prop_assert_eq!(r.text_len(), line.len() + 1);
+            let before = text.len();
+            r.write_line(&mut text);
+            prop_assert_eq!(&text[before..], format!("{}\n", line).as_str());
+        }
+        let ds = Dataset::new(records);
+        prop_assert_eq!(ds.text_len(), text.len());
+        prop_assert_eq!(ds.to_text(), text);
+    }
+}
+
+#[test]
+fn bed_line_golden() {
+    let r = MethRecord {
+        chrom: 22,
+        start: 9_999_999_999,
+        end: 10_000_000_000,
+        strand: Strand::Minus,
+        coverage: u32::MAX,
+        meth_pct: 100,
+    };
+    let golden = "chrX\t9999999999\t10000000000\t.\t1000\t-\t9999999999\t10000000000\t255,0,0\t4294967295\t100";
+    assert_eq!(r.to_line(), golden);
+    assert_eq!(r.text_len(), golden.len() + 1);
+    let mut out = String::from("prefix\n");
+    r.write_line(&mut out);
+    assert_eq!(out, format!("prefix\n{}\n", golden));
+}
